@@ -68,12 +68,9 @@ func cmdIngest(args []string) error {
 	}
 
 	if *csvOut != "" {
-		f, err := os.Create(*csvOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := table.WriteCSV(f, ing.Table); err != nil {
+		if err := writeFileAtomic(*csvOut, func(f *os.File) error {
+			return table.WriteCSV(f, ing.Table)
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("projected table written to %s\n", *csvOut)

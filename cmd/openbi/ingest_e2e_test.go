@@ -3,8 +3,11 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -66,7 +69,7 @@ func TestCLIIngestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchT, err := core.ProjectLargestClass(g)
+	batchT, err := rdf.Project(g, rdf.ProjectOptions{LargestClass: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,4 +111,72 @@ func TestCLIIngestGolden(t *testing.T) {
 	if got := hex.EncodeToString(sum2[:]); got != goldenIngestCSVSHA256 {
 		t.Fatalf("stdin ingest diverged from file ingest: %s", got)
 	}
+}
+
+// TestCLIIngestCSVFailedWriteKeepsOldBytes: `ingest -csv` writes through
+// writeFileAtomic, so a write that fails partway leaves the previous CSV
+// intact and no temp file behind. The failure is a real EFBIG: the ingest
+// runs in a child process whose file-size limit is below the projected
+// CSV's size (a limit set in this process would also hit the test
+// framework's own files).
+func TestCLIIngestCSVFailedWriteKeepsOldBytes(t *testing.T) {
+	sh, err := exec.LookPath("sh")
+	if err != nil || runtime.GOOS == "windows" {
+		t.Skip("needs a POSIX sh with ulimit")
+	}
+	nt := filepath.Join(t.TempDir(), "lod.nt")
+	captureStdout(t, func() error {
+		return cmdGenerate([]string{"-kind", "municipal", "-n", "200", "-seed", "42", "-out", nt})
+	})
+	outDir := t.TempDir()
+	csv := filepath.Join(outDir, "lod.csv")
+	const old = "old,complete\n1,2\n"
+	if err := os.WriteFile(csv, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// ulimit -f counts 512- or 1024-byte blocks depending on the shell; the
+	// projected CSV is tens of KiB either way.
+	cmd := exec.Command(sh, "-c", `ulimit -f 4 && exec "$0" -test.run='^TestIngestHelperProcess$'`, os.Args[0])
+	cmd.Env = append(os.Environ(), "OPENBI_INGEST_ARGS=-in\n"+nt+"\n-csv\n"+csv)
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("ingest under a 4-block file-size limit succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), "file too large") {
+		t.Fatalf("ingest failed for another reason than EFBIG: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != old {
+		t.Fatalf("failed write replaced the previous CSV with %d other bytes", len(got))
+	}
+	entries, err := os.ReadDir(outDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("temp leftovers after failed write: %v", names)
+	}
+}
+
+// TestIngestHelperProcess runs `openbi ingest` with the newline-separated
+// arguments in OPENBI_INGEST_ARGS; it is a child process of
+// TestCLIIngestCSVFailedWriteKeepsOldBytes and skips otherwise.
+func TestIngestHelperProcess(t *testing.T) {
+	args := os.Getenv("OPENBI_INGEST_ARGS")
+	if args == "" {
+		t.Skip("helper process")
+	}
+	if err := cmdIngest(strings.Split(args, "\n")); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(3)
+	}
+	os.Exit(0)
 }

@@ -42,6 +42,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -225,30 +226,27 @@ func cmdProfile(args []string) error {
 		return fmt.Errorf("profile: -in is required")
 	}
 
-	// RDF inputs get the graph-level profile first — link problems are
-	// invisible after projection.
+	var tb *table.Table
 	if strings.HasSuffix(*in, ".nt") || strings.HasSuffix(*in, ".ttl") {
+		// RDF inputs get the graph-level profile first — link problems are
+		// invisible after projection. One decoder pass yields both.
 		f, err := os.Open(*in)
 		if err != nil {
 			return err
 		}
-		var g *rdf.Graph
-		if strings.HasSuffix(*in, ".nt") {
-			g, err = rdf.ReadNTriples(f)
-		} else {
-			g, err = rdf.ReadTurtle(f)
-		}
+		ing, err := core.IngestLOD(f, filepath.Ext(*in)[1:], rdf.ProjectOptions{LargestClass: true})
 		f.Close()
 		if err != nil {
 			return err
 		}
-		printLODProfile(dq.MeasureLOD(g))
+		printLODProfile(ing.Profile)
 		fmt.Println()
-	}
-
-	tb, err := core.IngestFile(*in)
-	if err != nil {
-		return err
+		tb = ing.Table
+	} else {
+		var err error
+		if tb, err = core.IngestFile(*in); err != nil {
+			return err
+		}
 	}
 	m, err := core.BuildModel(tb, *class)
 	if err != nil {

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"openbi/internal/rdf"
+	"openbi/internal/synth"
 )
 
 // captureStdout runs f with os.Stdout redirected to a pipe and returns
@@ -35,6 +39,9 @@ func captureStdout(t *testing.T, f func() error) string {
 	return out
 }
 
+// TestCLIGenerateAndProfile pins `openbi profile` on RDF byte for byte:
+// a generated N-Triples export and its Turtle rendering must both print
+// the LOD profile followed by the table profile in testdata/profile.golden.
 func TestCLIGenerateAndProfile(t *testing.T) {
 	dir := t.TempDir()
 	nt := filepath.Join(dir, "m.nt")
@@ -44,18 +51,42 @@ func TestCLIGenerateAndProfile(t *testing.T) {
 	if !strings.Contains(out, "triples") {
 		t.Fatalf("generate output: %q", out)
 	}
-	if _, err := os.Stat(nt); err != nil {
-		t.Fatal("no output file")
-	}
+	ttl := filepath.Join(dir, "m.ttl")
+	writeTurtleCopy(t, nt, ttl)
 
-	out = captureStdout(t, func() error {
-		return cmdProfile([]string{"-in", nt, "-class", "fundingLevel"})
-	})
-	if !strings.Contains(out, "LOD profile") {
-		t.Fatalf("profile should include the graph-level section:\n%s", out)
+	want, err := os.ReadFile(filepath.Join("testdata", "profile.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "completeness") {
-		t.Fatalf("profile output:\n%s", out)
+	for _, in := range []string{nt, ttl} {
+		out = captureStdout(t, func() error {
+			return cmdProfile([]string{"-in", in, "-class", "fundingLevel"})
+		})
+		if out != string(want) {
+			t.Fatalf("profile %s drifted from testdata/profile.golden:\n--- got\n%s\n--- want\n%s",
+				filepath.Base(in), out, want)
+		}
+	}
+}
+
+// writeTurtleCopy re-serializes the N-Triples file src as Turtle at dst.
+func writeTurtleCopy(t *testing.T, src, dst string) {
+	t.Helper()
+	f, err := os.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := rdf.ReadNTriples(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rdf.WriteTurtle(&buf, g, map[string]string{"def": synth.NSDef, "od": synth.NSBase}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

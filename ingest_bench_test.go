@@ -77,7 +77,7 @@ type batchState struct {
 
 // BenchmarkIngestLOD compares the single-pass streaming ingestion
 // (decoder → sketch + projector) against the batch path (load graph →
-// MeasureLOD → ProjectLargestClass) at 1× and 10× triple counts, plus a
+// MeasureLOD → Project the largest class) at 1× and 10× triple counts, plus a
 // duplicate-heavy 10× stream over the 1× entity set — the case where the
 // streaming path's working set must not grow at all. Outputs land in
 // BENCH_ingest.json via `make bench`.
@@ -124,7 +124,7 @@ func BenchmarkIngestLOD(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				t, err := core.ProjectLargestClass(g)
+				t, err := rdf.Project(g, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

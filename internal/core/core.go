@@ -28,7 +28,8 @@ import (
 
 // IngestFile reads one open-data file into a table, dispatching on the
 // extension: .csv, .xml, .html/.htm, .nt (N-Triples) and .ttl (Turtle).
-// RDF inputs are projected to the most frequent entity class. Unknown
+// RDF inputs are streamed straight into a projection of the most frequent
+// entity class; their syntax errors match oberr.ErrBadSyntax. Unknown
 // extensions return an error matching oberr.ErrUnsupportedFormat.
 func IngestFile(path string) (*table.Table, error) {
 	f, err := os.Open(path)
@@ -37,36 +38,19 @@ func IngestFile(path string) (*table.Table, error) {
 	}
 	defer f.Close()
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	switch strings.ToLower(filepath.Ext(path)) {
+	switch ext := strings.ToLower(filepath.Ext(path)); ext {
 	case ".csv":
 		return table.ReadCSV(f, table.ReadCSVOptions{HasHeader: true, Name: name})
 	case ".xml":
 		return table.ReadXML(f, name)
 	case ".html", ".htm":
 		return table.ReadHTMLTable(f, name)
-	case ".nt":
-		g, err := rdf.ReadNTriples(f)
-		if err != nil {
-			return nil, err
-		}
-		return ProjectLargestClass(g)
-	case ".ttl":
-		g, err := rdf.ReadTurtle(f)
-		if err != nil {
-			return nil, err
-		}
-		return ProjectLargestClass(g)
+	case ".nt", ".ttl":
+		return rdf.StreamProject(f, ext[1:], rdf.ProjectOptions{LargestClass: true})
 	default:
 		return nil, fmt.Errorf("core: %w",
 			&oberr.UnsupportedFormatError{Input: path, Format: filepath.Ext(path)})
 	}
-}
-
-// ProjectLargestClass projects an RDF graph onto its most populous entity
-// class — the default "LOD integration module" behaviour when the user
-// has not picked a class.
-func ProjectLargestClass(g *rdf.Graph) (*table.Table, error) {
-	return rdf.Project(g, rdf.ProjectOptions{LargestClass: true})
 }
 
 // ---- Common representation + annotation (§3.2) ----

@@ -82,6 +82,25 @@ func TestIngestFileNTriplesProjectsLargestClass(t *testing.T) {
 	}
 }
 
+// TestIngestFileBadRDFSyntax: malformed N-Triples and Turtle files both
+// fail with the oberr taxonomy and the offending line.
+func TestIngestFileBadRDFSyntax(t *testing.T) {
+	for _, c := range []struct {
+		name, doc string
+		line      int
+	}{
+		{"bad.nt", "<http://a> <http://p> \"1\" .\n<http://a> <http://p> .\n", 2},
+		{"bad.ttl", "@prefix ex: <http://x/> .\n\nex:a ex:p ^ .\n", 3},
+		{"undeclared.ttl", "<http://a> <http://p> 1 .\nfoo:a <http://p> 2 .\n", 2},
+	} {
+		_, err := IngestFile(writeTemp(t, c.name, c.doc))
+		var se *oberr.SyntaxError
+		if !errors.Is(err, oberr.ErrBadSyntax) || !errors.As(err, &se) || se.Line != c.line {
+			t.Fatalf("%s: want SyntaxError on line %d, got %v", c.name, c.line, err)
+		}
+	}
+}
+
 func TestIngestFileUnsupported(t *testing.T) {
 	path := writeTemp(t, "d.parquet", "xx")
 	_, err := IngestFile(path)
@@ -507,10 +526,9 @@ func TestConcurrentServing(t *testing.T) {
 	wg.Wait()
 }
 
-func TestProjectLargestClassNoTypes(t *testing.T) {
-	g := rdf.NewGraph()
-	g.Add(rdf.Triple{S: rdf.NewIRI("http://a"), P: rdf.NewIRI("http://p"), O: rdf.NewLiteral("1")})
-	tb, err := ProjectLargestClass(g)
+func TestIngestFileNoTypesProjectsAllSubjects(t *testing.T) {
+	path := writeTemp(t, "d.nt", "<http://a> <http://p> \"1\" .\n")
+	tb, err := IngestFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,9 @@ func lodNT(t *testing.T, spec synth.LODSpec) (*rdf.Graph, []byte) {
 }
 
 // TestIngestLODMatchesBatchPath: the single-pass streaming ingestion must
-// reproduce exactly what the batch path (load graph, MeasureLOD,
-// ProjectLargestClass) computes — profile equal, table byte-identical.
+// reproduce exactly what the resident-graph path (load graph, MeasureLOD,
+// rdf.Project with LargestClass) computes — profile equal, table
+// byte-identical.
 func TestIngestLODMatchesBatchPath(t *testing.T) {
 	g, nt := lodNT(t, synth.LODSpec{Entities: 150, Seed: 5, Dirtiness: 0.25})
 
@@ -43,7 +44,7 @@ func TestIngestLODMatchesBatchPath(t *testing.T) {
 	if ing.Triples != g.Len() {
 		t.Fatalf("raw triple count %d != %d (generator emits no duplicates)", ing.Triples, g.Len())
 	}
-	batchT, err := ProjectLargestClass(g)
+	batchT, err := rdf.Project(g, rdf.ProjectOptions{LargestClass: true})
 	if err != nil {
 		t.Fatal(err)
 	}

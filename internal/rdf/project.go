@@ -60,67 +60,23 @@ func (opts *ProjectOptions) normalize() error {
 // silently discarded. Numeric-literal-dominated properties become Numeric
 // columns; everything else (IRIs, strings, mixed) becomes Nominal on the
 // object's local name.
+//
+// Project is the resident-graph entry point of the streaming Projector:
+// it feeds g's triples to one and returns its Table.
 func Project(g *Graph, opts ProjectOptions) (*table.Table, error) {
-	if err := opts.normalize(); err != nil {
+	p, err := NewProjector(opts)
+	if err != nil {
 		return nil, err
 	}
-	var subjects []Term
-	hasClass := opts.Class.IsIRI() && opts.Class.Value != ""
-	if !hasClass && opts.LargestClass {
-		if best, ok := largestClass(g.Classes(), func(c Term) int { return len(g.SubjectsOfType(c)) }); ok {
-			opts.Class, hasClass = best, true
-		}
+	for _, tr := range g.Triples() {
+		p.Add(tr)
 	}
-	if hasClass {
-		subjects = g.SubjectsOfType(opts.Class)
-	} else {
-		subjects = g.Subjects()
-	}
-	if len(subjects) == 0 {
-		return nil, errNoSubjects
-	}
-
-	// Collect predicates in deterministic order, skipping rdf:type (it is
-	// the class selector, not an attribute).
-	preds := g.Predicates()
-	typeIRI := NewIRI(RDFType)
-
-	gathers := make([]predGather, 0, len(preds))
-	for _, p := range preds {
-		if p == typeIRI {
-			continue
-		}
-		pg := predGather{
-			pred:      p,
-			firstVals: make([]Term, len(subjects)),
-			present:   make([]bool, len(subjects)),
-			counts:    make([]int, len(subjects)),
-		}
-		for i, s := range subjects {
-			vals := g.PropertyValues(s, p)
-			pg.counts[i] = len(vals)
-			if len(vals) == 0 {
-				continue
-			}
-			if len(vals) > 1 {
-				pg.multi = true
-			}
-			pg.present[i] = true
-			pg.firstVals[i] = vals[0]
-			pg.observed++
-			if isNumericTerm(vals[0]) {
-				pg.numeric++
-			}
-		}
-		gathers = append(gathers, pg)
-	}
-	return assembleProjection(subjects, gathers, opts)
+	return p.Table()
 }
 
-// predGather is the per-predicate evidence both projection paths (batch
-// Project and the streaming Projector) collect before column assembly:
-// the first value and value count per subject, plus the numeric vote.
-// Slices are indexed by position in the sorted subject list.
+// predGather is the per-predicate evidence the Projector collects before
+// column assembly: the first value and value count per subject, plus the
+// numeric vote. Slices are indexed by position in the sorted subject list.
 type predGather struct {
 	pred      Term
 	firstVals []Term
@@ -131,34 +87,16 @@ type predGather struct {
 	multi     bool
 }
 
-// errNoSubjects is shared by Project and the streaming Projector so the
-// two paths stay indistinguishable to callers. It matches
-// oberr.ErrTooFewRows so the serving layer maps it to a client error (an
-// empty upload is the client's problem, not the server's).
+// errNoSubjects matches oberr.ErrTooFewRows so the serving layer maps it
+// to a client error (an empty upload is the client's problem, not the
+// server's).
 var errNoSubjects = fmt.Errorf("rdf: projection found no subjects: %w", oberr.ErrTooFewRows)
 
-// largestClass picks the most populous class — first strict maximum in
-// sorted class order, matching the historical ProjectLargestClass
-// tie-break. ok is false when there are no classes.
-func largestClass(classes []Term, count func(Term) int) (Term, bool) {
-	if len(classes) == 0 {
-		return Term{}, false
-	}
-	best, bestN := classes[0], -1
-	for _, c := range classes {
-		if n := count(c); n > bestN {
-			best, bestN = c, n
-		}
-	}
-	return best, true
-}
-
 // assembleProjection turns gathered per-predicate evidence into the final
-// table. Both Project and the streaming Projector end here, which is what
-// makes their outputs byte-identical: column order, name disambiguation,
-// the numeric vote, level interning order and the #count columns all run
-// through this one routine. opts must already be normalized, with
-// opts.Class resolved (zero Class means "all subjects", named "lod").
+// table: column order, name disambiguation, the numeric vote, level
+// interning order and the #count columns. opts must already be
+// normalized, with opts.Class resolved (zero Class means "all subjects",
+// named "lod").
 func assembleProjection(subjects []Term, gathers []predGather, opts ProjectOptions) (*table.Table, error) {
 	name := "lod"
 	if opts.Class.IsIRI() && opts.Class.Value != "" {

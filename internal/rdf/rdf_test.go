@@ -78,31 +78,11 @@ func buildTestGraph() *Graph {
 	return g
 }
 
-func TestGraphMatchPatterns(t *testing.T) {
-	g := buildTestGraph()
-	s := NewIRI("http://m/1")
-	if got := len(g.Match(&s, nil, nil)); got != 3 {
-		t.Fatalf("subject match = %d, want 3", got)
-	}
-	p := NewIRI("http://d/pop")
-	if got := len(g.Match(nil, &p, nil)); got != 2 {
-		t.Fatalf("predicate match = %d, want 2", got)
-	}
-	o := NewIRI("http://r/1")
-	if got := len(g.Match(nil, nil, &o)); got != 2 {
-		t.Fatalf("object match = %d, want 2 (inRegion links)", got)
-	}
-	if got := len(g.Match(&s, &p, nil)); got != 1 {
-		t.Fatalf("s+p match = %d, want 1", got)
-	}
-	if got := len(g.Match(nil, nil, nil)); got != g.Len() {
-		t.Fatalf("full scan = %d, want %d", got, g.Len())
-	}
-}
-
+// TestSubjectsOfType, TestClasses and TestPropertyValuesAndFirst check the
+// graph-query helpers referenceProject is built from (reference_test.go).
 func TestSubjectsOfType(t *testing.T) {
 	g := buildTestGraph()
-	muns := g.SubjectsOfType(NewIRI("http://d/Mun"))
+	muns := subjectsOfType(g, NewIRI("http://d/Mun"))
 	if len(muns) != 2 {
 		t.Fatalf("municipalities = %d", len(muns))
 	}
@@ -114,7 +94,7 @@ func TestSubjectsOfType(t *testing.T) {
 
 func TestClasses(t *testing.T) {
 	g := buildTestGraph()
-	cls := g.Classes()
+	cls := classesOf(g)
 	if len(cls) != 2 {
 		t.Fatalf("classes = %v", cls)
 	}
@@ -122,26 +102,29 @@ func TestClasses(t *testing.T) {
 
 func TestPropertyValuesAndFirst(t *testing.T) {
 	g := buildTestGraph()
-	vals := g.PropertyValues(NewIRI("http://m/1"), NewIRI("http://d/pop"))
+	vals := propertyValues(g, NewIRI("http://m/1"), NewIRI("http://d/pop"))
 	if len(vals) != 1 || vals[0].Value != "1000" {
-		t.Fatalf("PropertyValues = %v", vals)
+		t.Fatalf("propertyValues = %v", vals)
 	}
-	if _, ok := g.FirstValue(NewIRI("http://m/1"), NewIRI("http://d/none")); ok {
-		t.Fatal("FirstValue on absent predicate should report false")
+	if _, ok := firstValue(g, NewIRI("http://m/1"), NewIRI("http://d/none")); ok {
+		t.Fatal("firstValue on absent predicate should report false")
 	}
 }
 
 func TestDegreesAndStats(t *testing.T) {
 	g := buildTestGraph()
-	if g.OutDegree(NewIRI("http://m/1")) != 3 {
-		t.Fatalf("out degree = %d", g.OutDegree(NewIRI("http://m/1")))
-	}
-	if g.InDegree(NewIRI("http://r/1")) != 2 {
-		t.Fatalf("in degree = %d", g.InDegree(NewIRI("http://r/1")))
-	}
 	st := g.Stats()
 	if st.Triples != 7 || st.Subjects != 3 {
 		t.Fatalf("stats = %+v", st)
+	}
+	if st.Predicates != 3 || st.Objects != 5 {
+		t.Fatalf("distinct predicates/objects = %d/%d, want 3/5", st.Predicates, st.Objects)
+	}
+	if st.MaxOutDegree != 3 || st.AvgOutDegree != 7.0/3 {
+		t.Fatalf("out degree max/avg = %d/%v, want 3/%v", st.MaxOutDegree, st.AvgOutDegree, 7.0/3)
+	}
+	if st.AvgInDegree != 5.0/3 { // 5 IRI-object links over 3 distinct IRI objects
+		t.Fatalf("avg in degree = %v, want %v", st.AvgInDegree, 5.0/3)
 	}
 	if st.LiteralTriples != 2 {
 		t.Fatalf("literal triples = %d", st.LiteralTriples)
@@ -232,22 +215,22 @@ ex:m1 a ex:Municipality ;
 	}
 	subj := NewIRI("http://example.org/m1")
 	typ := NewIRI(RDFType)
-	if v, ok := g.FirstValue(subj, typ); !ok || v.Value != "http://example.org/Municipality" {
+	if v, ok := firstValue(g, subj, typ); !ok || v.Value != "http://example.org/Municipality" {
 		t.Fatal("'a' keyword not expanded")
 	}
-	if v, ok := g.FirstValue(subj, NewIRI("http://example.org/pop")); !ok || v.Datatype != XSDInteger || v.Value != "1000" {
+	if v, ok := firstValue(g, subj, NewIRI("http://example.org/pop")); !ok || v.Datatype != XSDInteger || v.Value != "1000" {
 		t.Fatalf("integer literal = %+v", v)
 	}
-	if v, ok := g.FirstValue(subj, NewIRI("http://example.org/rate")); !ok || v.Datatype != XSDDecimal {
+	if v, ok := firstValue(g, subj, NewIRI("http://example.org/rate")); !ok || v.Datatype != XSDDecimal {
 		t.Fatalf("decimal literal = %+v", v)
 	}
-	if v, ok := g.FirstValue(subj, NewIRI("http://example.org/active")); !ok || v.Datatype != XSDBoolean {
+	if v, ok := firstValue(g, subj, NewIRI("http://example.org/active")); !ok || v.Datatype != XSDBoolean {
 		t.Fatalf("boolean literal = %+v", v)
 	}
-	if v, ok := g.FirstValue(subj, NewIRI("http://example.org/label")); !ok || v.Lang != "es" {
+	if v, ok := firstValue(g, subj, NewIRI("http://example.org/label")); !ok || v.Lang != "es" {
 		t.Fatalf("lang literal = %+v", v)
 	}
-	linked := g.PropertyValues(subj, NewIRI("http://example.org/linked"))
+	linked := propertyValues(g, subj, NewIRI("http://example.org/linked"))
 	if len(linked) != 2 {
 		t.Fatalf("object list = %v", linked)
 	}

@@ -3,10 +3,8 @@ package rdf
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"openbi/internal/oberr"
@@ -14,10 +12,10 @@ import (
 
 // TripleFunc receives one parsed triple from a streaming decoder. A
 // non-nil return stops the stream immediately and is propagated to the
-// caller. Unlike the batch readers, which load into a deduplicating
-// Graph, a TripleFunc sees every syntactic triple, duplicates included —
-// consumers that need set semantics (LODSketch, the stream projector)
-// deduplicate themselves.
+// caller. Unlike ReadNTriples and ReadTurtle, which load into a
+// deduplicating Graph, a TripleFunc sees every syntactic triple,
+// duplicates included — consumers that need set semantics (LODSketch,
+// the Projector) deduplicate themselves.
 type TripleFunc func(Triple) error
 
 // Stream decodes RDF from r in one pass, dispatching on format ("nt" /
@@ -67,23 +65,19 @@ func StreamNTriples(r io.Reader, fn TripleFunc) error {
 	return nil
 }
 
-// StreamTurtle parses the same Turtle subset as ReadTurtle in one pass,
-// holding only the current statement in memory. The byte stream is sliced
-// into chunks ending exactly at top-level statement terminators by a
-// small state machine (stmtChunker) that mirrors the tokenizer's string /
-// IRI / comment / blank-label lexing; each chunk is then tokenized and
-// parsed by the very same tokenizer and statement parser the batch reader
-// uses, with prefix and base declarations persisting across chunks. It
-// therefore accepts exactly the documents ReadTurtle accepts and yields
-// the same triples; on a rejected document, triples from statements
+// StreamTurtle parses the Turtle subset documented on ReadTurtle in one
+// pass, holding only the current statement in memory. The byte stream is
+// sliced into chunks ending exactly at top-level statement terminators by
+// a small state machine (stmtChunker) that mirrors the tokenizer's string
+// / IRI / comment / blank-label lexing; each chunk is then tokenized and
+// parsed, with prefix and base declarations persisting across chunks.
+// Chunking never changes the verdict or the triples: the result is the
+// one a whole-document tokenize and parse would give (the reference
+// FuzzStreamTurtle checks against). Parse failures match
+// oberr.ErrBadSyntax; on a rejected document, triples from statements
 // before the offending one may already have been delivered to fn.
 func StreamTurtle(r io.Reader, fn TripleFunc) error {
-	p := &turtleParser{prefixes: map[string]string{}, emit: func(tr Triple) error {
-		if err := fn(tr); err != nil {
-			return &consumerError{err} // keep it apart from parse errors
-		}
-		return nil
-	}}
+	p := &turtleParser{prefixes: map[string]string{}, emit: fn}
 	ch := &stmtChunker{r: r}
 	var toks []ttToken
 	line := 1
@@ -93,16 +87,15 @@ func StreamTurtle(r io.Reader, fn TripleFunc) error {
 			var terr error
 			toks, terr = tokenizeTurtleInto(toks[:0], string(chunk), line)
 			if terr != nil {
-				return turtleSyntaxErr(terr)
+				return fmt.Errorf("rdf: %w", terr)
 			}
 			line += bytes.Count(chunk, []byte{'\n'})
 			p.toks, p.pos = toks, 0
 			if perr := p.run(); perr != nil {
-				var ce *consumerError
-				if errors.As(perr, &ce) {
-					return ce.err
+				if _, ok := perr.(*oberr.SyntaxError); ok {
+					return fmt.Errorf("rdf: %w", perr)
 				}
-				return turtleSyntaxErr(perr)
+				return perr // fn's own error, unchanged
 			}
 		}
 		if err == io.EOF {
@@ -114,42 +107,16 @@ func StreamTurtle(r io.Reader, fn TripleFunc) error {
 	}
 }
 
-// consumerError marks an error returned by the caller's TripleFunc so it
-// propagates unchanged instead of being retagged as a syntax error.
-type consumerError struct{ err error }
-
-func (e *consumerError) Error() string { return e.err.Error() }
-func (e *consumerError) Unwrap() error { return e.err }
-
-// turtleSyntaxErr retags a tokenizer/parser error ("rdf: turtle line N:
-// ...") with the oberr taxonomy so errors.Is(err, oberr.ErrBadSyntax)
-// holds for streaming callers (the serving layer maps it to 422), lifting
-// the line number out of the message into SyntaxError.Line so both
-// streaming formats report it structurally.
-func turtleSyntaxErr(err error) error {
-	msg := err.Error()
-	msg = strings.TrimPrefix(msg, "rdf: turtle: ")
-	msg = strings.TrimPrefix(msg, "rdf: turtle ")
-	line := 0
-	if rest, ok := strings.CutPrefix(msg, "line "); ok {
-		if num, tail, ok := strings.Cut(rest, ": "); ok {
-			if n, err := strconv.Atoi(num); err == nil {
-				line, msg = n, tail
-			}
-		}
-	}
-	return fmt.Errorf("rdf: %w", &oberr.SyntaxError{Format: "turtle", Line: line, Reason: msg})
-}
-
 // stmtChunker slices a Turtle byte stream into chunks that end exactly at
 // a top-level statement terminator '.', reading fixed-size blocks and
 // keeping only the bytes of the statement in flight. Its state machine
 // tracks the lexical contexts in which a '.' is NOT a terminator —
 // comments, <IRI>s, short and long string literals (with escapes), blank
 // node labels, and decimals ('.' followed by a digit) — replicating
-// exactly where tokenizeTurtle would emit a ttDot token. Chunk boundaries
-// therefore always coincide with batch token boundaries, which is what
-// makes StreamTurtle accept-equivalent to ReadTurtle.
+// exactly where the tokenizer would emit a ttDot token. Chunk boundaries
+// therefore always coincide with whole-document token boundaries, which
+// is what makes chunked parsing equivalent to parsing the document at
+// once.
 type stmtChunker struct {
 	r    io.Reader
 	buf  []byte // unconsumed bytes of the stream
@@ -225,8 +192,7 @@ func (c *stmtChunker) fill() error {
 // (0, false) when more input is needed — either because the buffer ran
 // out or because a classification (long-string open/close, decimal
 // lookahead) needs bytes not yet read. At EOF missing lookahead bytes are
-// treated as absent, matching how the batch tokenizer sees the document
-// end.
+// treated as absent, matching how the tokenizer sees the document end.
 func (c *stmtChunker) scan() (int, bool) {
 	for c.n < len(c.buf) {
 		b := c.buf[c.n]

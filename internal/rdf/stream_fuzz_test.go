@@ -6,28 +6,28 @@ import (
 )
 
 // streamEquivalence is the shared fuzz property: the streaming decoder
-// must accept exactly the documents the batch parser accepts, and on
+// must accept exactly the documents the reference parser accepts, and on
 // acceptance deliver the same triple set. (On rejection the streaming
 // path may have delivered a prefix of the triples before the offending
 // statement — that is its documented contract — so only the verdict is
 // compared.)
 func streamEquivalence(t *testing.T, input string,
-	batch func(string) (*Graph, error), stream func(string, TripleFunc) error) {
+	ref func(string) (*Graph, error), stream func(string, TripleFunc) error) {
 	t.Helper()
-	bg, berr := batch(input)
+	rg, rerr := ref(input)
 	sg := NewGraph()
 	serr := stream(input, func(tr Triple) error {
 		sg.Add(tr)
 		return nil
 	})
-	if (berr == nil) != (serr == nil) {
-		t.Fatalf("accept mismatch:\nbatch err:  %v\nstream err: %v\ninput: %q", berr, serr, input)
+	if (rerr == nil) != (serr == nil) {
+		t.Fatalf("accept mismatch:\nreference err: %v\nstream err:    %v\ninput: %q", rerr, serr, input)
 	}
-	if berr != nil {
+	if rerr != nil {
 		return
 	}
-	if !sameGraph(bg, sg) {
-		t.Fatalf("triple sets differ: stream %d vs batch %d\ninput: %q", sg.Len(), bg.Len(), input)
+	if !sameGraph(rg, sg) {
+		t.Fatalf("triple sets differ: stream %d vs reference %d\ninput: %q", sg.Len(), rg.Len(), input)
 	}
 }
 
@@ -59,10 +59,10 @@ func FuzzStreamNTriples(f *testing.F) {
 }
 
 // FuzzStreamTurtle stresses the statement chunker: its state machine must
-// agree with the batch tokenizer about every '.' in the document —
+// agree with the tokenizer run over the whole document about every '.' —
 // comments, IRIs, short/long strings, escapes, blank labels and decimals.
 // A disagreement shows up as an accept/reject or triple-set mismatch
-// against ReadTurtle.
+// against readTurtleWhole.
 func FuzzStreamTurtle(f *testing.F) {
 	seeds := []string{
 		"",
@@ -87,7 +87,7 @@ func FuzzStreamTurtle(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		streamEquivalence(t, input,
-			func(s string) (*Graph, error) { return ReadTurtle(strings.NewReader(s)) },
+			readTurtleWhole,
 			func(s string, fn TripleFunc) error { return StreamTurtle(strings.NewReader(s), fn) })
 	})
 }

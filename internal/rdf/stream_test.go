@@ -104,9 +104,10 @@ func TestStreamNTriplesMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamTurtleMatchesBatch covers the chunker against both the Turtle
-// writer's output (prefixes, ';'/',' abbreviation) and hand-written edge
-// cases targeting every place a '.' is not a statement terminator.
+// TestStreamTurtleMatchesBatch checks the chunker against the
+// whole-document reference (readTurtleWhole) on both the Turtle writer's
+// output (prefixes, ';'/',' abbreviation) and hand-written edge cases
+// targeting every place a '.' is not a statement terminator.
 func TestStreamTurtleMatchesBatch(t *testing.T) {
 	docs := []string{
 		"",
@@ -127,7 +128,7 @@ func TestStreamTurtleMatchesBatch(t *testing.T) {
 		"<http://a> <http://b> \"v\"@en-GB ; <http://c> 42, true, false .",
 		"<http://a> <http://b> \"typed\"^^<http://dt.org/t> .",
 		"@prefix : <http://ex.org/> .\n:a :b :c .",
-		// Rejected documents: both paths must reject.
+		// Rejected documents: stream and reference must both reject.
 		"ex:a ex:b ex:c .",                 // undeclared prefix
 		"<http://a> <http://b> <http://c>", // missing final dot
 		"<http://a> <http://b> 'bad' .",
@@ -145,16 +146,16 @@ func TestStreamTurtleMatchesBatch(t *testing.T) {
 		docs = append(docs, buf.String())
 	}
 	for i, doc := range docs {
-		batch, berr := ReadTurtle(strings.NewReader(doc))
+		ref, rerr := readTurtleWhole(doc)
 		streamed, serr := collectStream(t, []byte(doc), "ttl")
-		if (berr == nil) != (serr == nil) {
-			t.Fatalf("doc %d: accept mismatch: batch err=%v, stream err=%v\ndoc: %q", i, berr, serr, doc)
+		if (rerr == nil) != (serr == nil) {
+			t.Fatalf("doc %d: accept mismatch: ref err=%v, stream err=%v\ndoc: %q", i, rerr, serr, doc)
 		}
-		if berr != nil {
+		if rerr != nil {
 			continue
 		}
-		if !sameGraph(batch, streamed) {
-			t.Fatalf("doc %d: stream (%d triples) != batch (%d)\ndoc: %q", i, streamed.Len(), batch.Len(), doc)
+		if !sameGraph(ref, streamed) {
+			t.Fatalf("doc %d: stream (%d triples) != ref (%d)\ndoc: %q", i, streamed.Len(), ref.Len(), doc)
 		}
 	}
 }
@@ -163,7 +164,7 @@ func TestStreamTurtleMatchesBatch(t *testing.T) {
 // in the chunker is exercised.
 func TestStreamTurtleSmallChunks(t *testing.T) {
 	doc := "@prefix ex: <http://ex.org/> .\nex:a ex:b \"\"\"x.\"\"\", 3.5, _:l.m ; ex:c ex:d .\n"
-	batch, err := ReadTurtle(strings.NewReader(doc))
+	ref, err := readTurtleWhole(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +176,8 @@ func TestStreamTurtleSmallChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameGraph(batch, g) {
-		t.Fatalf("one-byte-read stream diverged: %d vs %d triples", g.Len(), batch.Len())
+	if !sameGraph(ref, g) {
+		t.Fatalf("one-byte-read stream diverged: %d vs %d triples", g.Len(), ref.Len())
 	}
 }
 
@@ -244,6 +245,41 @@ func TestStreamSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestTurtleSyntaxErrorText pins the exact message, the ErrBadSyntax
+// match and SyntaxError.Line of Turtle failures, through both StreamTurtle
+// and ReadTurtle (line 0: the failure has no token to point at).
+func TestTurtleSyntaxErrorText(t *testing.T) {
+	cases := []struct {
+		doc  string
+		want string
+		line int
+	}{
+		{"@prefix ex: <http://ex.org/> .\n<http://a> <http://b> <never-closed .",
+			"rdf: turtle line 2: unterminated IRI", 2},
+		{"<http://a>\n<http://b> \"x\"^<http://dt> .", "rdf: turtle line 2: stray '^'", 2},
+		{"<http://a> <http://b> _: .", "rdf: turtle line 1: empty blank node label", 1},
+		{"@prefix ex: <http://ex.org/> .\n\nfoo:a ex:b ex:c .", `rdf: turtle line 3: undeclared prefix "foo"`, 3},
+		{"<http://a> <http://b> \"line\nbreak\" .", "rdf: turtle line 1: newline in short string literal", 1},
+		{"<http://a> <http://b>\n bogus .", `rdf: turtle line 2: unexpected token "bogus"`, 2},
+		{"<http://a> <http://b> \"unterminated .", "rdf: turtle line 1: unterminated string literal", 1},
+		{"<http://a> <http://b> <http://c>", "rdf: turtle: missing '.' at end of input", 0},
+		{"@prefix <http://x> .", "rdf: turtle: @prefix expects 'name:'", 0},
+	}
+	for _, c := range cases {
+		serr := StreamTurtle(strings.NewReader(c.doc), func(Triple) error { return nil })
+		_, rerr := ReadTurtle(strings.NewReader(c.doc))
+		for _, err := range []error{serr, rerr} {
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("doc %q: err = %v, want %q", c.doc, err, c.want)
+			}
+			var se *oberr.SyntaxError
+			if !errors.Is(err, oberr.ErrBadSyntax) || !errors.As(err, &se) || se.Line != c.line {
+				t.Fatalf("doc %q: want SyntaxError on line %d, got %#v", c.doc, c.line, err)
+			}
+		}
+	}
+}
+
 // csvBytes renders a table to CSV for byte-identity comparison.
 func csvBytes(t *testing.T, tb *table.Table) []byte {
 	t.Helper()
@@ -255,10 +291,11 @@ func csvBytes(t *testing.T, tb *table.Table) []byte {
 }
 
 // TestStreamProjectMatchesProject is the projection equivalence property:
-// on seeded random graphs, StreamProject over the serialized graph must
-// produce a table byte-identical (as CSV) to Project over the loaded
-// graph — for explicit classes, the largest class and the all-subjects
-// default, with and without the subject column and level caps.
+// on seeded random graphs, StreamProject over the serialized graph and
+// Project over the loaded graph must both produce a table byte-identical
+// (as CSV) to the resident-graph reference gather (referenceProject) —
+// for explicit classes, the largest class and the all-subjects default,
+// with and without the subject column and level caps.
 func TestStreamProjectMatchesProject(t *testing.T) {
 	optVariants := []ProjectOptions{
 		{},
@@ -274,20 +311,28 @@ func TestStreamProjectMatchesProject(t *testing.T) {
 			t.Fatal(err)
 		}
 		for vi, opts := range optVariants {
-			batchT, berr := Project(g, opts)
+			refT, rerr := referenceProject(g, opts)
 			streamT, serr := StreamProject(bytes.NewReader(nt.Bytes()), "nt", opts)
-			if (berr == nil) != (serr == nil) {
-				t.Fatalf("seed %d variant %d: error mismatch: batch %v, stream %v", seed, vi, berr, serr)
+			graphT, gerr := Project(g, opts)
+			if (rerr == nil) != (serr == nil) || (rerr == nil) != (gerr == nil) {
+				t.Fatalf("seed %d variant %d: error mismatch: reference %v, stream %v, graph %v",
+					seed, vi, rerr, serr, gerr)
 			}
-			if berr != nil {
+			if rerr != nil {
 				continue
 			}
-			if got, want := csvBytes(t, streamT), csvBytes(t, batchT); !bytes.Equal(got, want) {
-				t.Fatalf("seed %d variant %d: projected CSV differs\n--- stream\n%s\n--- batch\n%s",
-					seed, vi, got, want)
-			}
-			if streamT.Name != batchT.Name {
-				t.Fatalf("seed %d variant %d: table name %q != %q", seed, vi, streamT.Name, batchT.Name)
+			want := csvBytes(t, refT)
+			for _, got := range []struct {
+				path string
+				t    *table.Table
+			}{{"stream", streamT}, {"graph", graphT}} {
+				if b := csvBytes(t, got.t); !bytes.Equal(b, want) {
+					t.Fatalf("seed %d variant %d: %s projected CSV differs\n--- %s\n%s\n--- reference\n%s",
+						seed, vi, got.path, got.path, b, want)
+				}
+				if got.t.Name != refT.Name {
+					t.Fatalf("seed %d variant %d: %s table name %q != %q", seed, vi, got.path, got.t.Name, refT.Name)
+				}
 			}
 		}
 	}
@@ -305,7 +350,7 @@ func TestStreamProjectDuplicateTriples(t *testing.T) {
 		}
 	}
 	opts := ProjectOptions{LargestClass: true, IncludeSubject: true}
-	batchT, err := Project(g, opts)
+	refT, err := referenceProject(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +358,8 @@ func TestStreamProjectDuplicateTriples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := csvBytes(t, streamT), csvBytes(t, batchT); !bytes.Equal(got, want) {
-		t.Fatalf("duplicated stream changed projection:\n--- stream\n%s\n--- batch\n%s", got, want)
+	if got, want := csvBytes(t, streamT), csvBytes(t, refT); !bytes.Equal(got, want) {
+		t.Fatalf("duplicated stream changed projection:\n--- stream\n%s\n--- reference\n%s", got, want)
 	}
 }
 

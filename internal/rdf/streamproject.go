@@ -6,19 +6,18 @@ import (
 	"openbi/internal/table"
 )
 
-// Projector is the streaming counterpart of Project: feed it triples one
-// at a time (its Add is a TripleFunc) and call Table once the stream
-// ends. It gathers exactly the evidence Project derives from a resident
-// graph — per (subject, predicate) the first distinct value and the
-// distinct-value count, in stream order — and finishes through the same
-// assembleProjection routine, so the resulting table is byte-identical
-// to Project over the equivalent graph.
+// Projector is the one entity→table projection gather: feed it triples
+// one at a time (its Add is a TripleFunc) and call Table once the stream
+// ends. Per (subject, predicate) it keeps the first distinct value and
+// the distinct-value count, in stream order — exactly what a resident,
+// deduplicated graph holds — so Project over a Graph and StreamProject
+// over its serialization produce byte-identical tables.
 //
 // Memory scales with the number of distinct (subject, predicate, object)
 // combinations — the content of the projected table — not with the
-// triple count: duplicate triples, repeated links and the graph's
-// reverse indexes cost nothing. That is what lets the ingestion pipeline
-// project graphs whose serialized form exceeds memory.
+// triple count: duplicate triples and repeated links cost nothing. That
+// is what lets the ingestion pipeline project graphs whose serialized
+// form exceeds memory.
 type Projector struct {
 	opts     ProjectOptions
 	subs     map[Term]*subjState
@@ -44,16 +43,16 @@ type subjState struct {
 	preds []spEntry
 }
 
-// spEntry is the per-(subject, predicate) evidence: the first distinct
-// object (PropertyValues order == first-occurrence order of distinct
-// triples) and the distinct objects seen.
+// spEntry is the per-(subject, predicate) evidence: the distinct objects
+// in first-occurrence order.
 type spEntry struct {
 	pred Term
 	objs []Term // distinct objects in first-seen order; objs[0] is the first value
 }
 
-// NewProjector validates opts (same rules and defaults as Project) and
-// returns an empty streaming projector.
+// NewProjector validates opts (NumericThreshold defaults to 0.9, values
+// outside (0,1] fail with oberr.ErrBadConfig) and returns an empty
+// projector.
 func NewProjector(opts ProjectOptions) (*Projector, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -111,20 +110,25 @@ func (p *Projector) Subjects() int { return len(p.subs) }
 func (p *Projector) Class() (Term, bool) { return p.class, p.hasClass }
 
 // Table assembles the projected table from everything Added so far,
-// applying the class restriction (explicit Class, LargestClass, or all
-// subjects) exactly as Project does.
+// applying the class restriction: the explicit Class, else with
+// LargestClass the most populous class (the first strict maximum in
+// sorted class order), else every subject.
 func (p *Projector) Table() (*table.Table, error) {
 	opts := p.opts
 	hasClass := opts.Class.IsIRI() && opts.Class.Value != ""
-	if !hasClass && opts.LargestClass {
+	if !hasClass && opts.LargestClass && len(p.classCnt) > 0 {
 		classes := make([]Term, 0, len(p.classCnt))
 		for c := range p.classCnt {
 			classes = append(classes, c)
 		}
 		sortTerms(classes)
-		if best, ok := largestClass(classes, func(c Term) int { return p.classCnt[c] }); ok {
-			opts.Class, hasClass = best, true
+		bestN := -1
+		for _, c := range classes {
+			if n := p.classCnt[c]; n > bestN {
+				opts.Class, bestN = c, n
+			}
 		}
+		hasClass = true
 	}
 	p.class, p.hasClass = opts.Class, hasClass
 
@@ -185,10 +189,8 @@ func (st *subjState) hasType(class Term) bool {
 }
 
 // StreamProject decodes RDF from r (format as in Stream) straight into a
-// projected table without materializing the graph. The output is
-// byte-identical to Project over ReadNTriples/ReadTurtle of the same
-// document; peak memory is bounded by the projected content plus one
-// statement, not the triple count.
+// projected table without materializing the graph; peak memory is bounded
+// by the projected content plus one statement, not the triple count.
 func StreamProject(r io.Reader, format string, opts ProjectOptions) (*table.Table, error) {
 	pr, err := NewProjector(opts)
 	if err != nil {

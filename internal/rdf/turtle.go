@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"openbi/internal/oberr"
 )
 
-// ReadTurtle parses a practical subset of Turtle into a graph:
+// ReadTurtle parses a practical subset of Turtle into a graph (it is
+// StreamTurtle loading a Graph, so parse failures match
+// oberr.ErrBadSyntax):
 //
 //   - @prefix / PREFIX declarations and prefixed names (ex:thing)
 //   - @base / BASE declarations and relative IRI resolution against it
@@ -20,18 +24,12 @@ import (
 // open-data Turtle exports in the wild virtually never use them, and the
 // synthetic LOD generators in this repository do not emit them.
 func ReadTurtle(r io.Reader) (*Graph, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("rdf: reading turtle: %w", err)
-	}
-	toks, err := tokenizeTurtle(string(raw))
-	if err != nil {
-		return nil, err
-	}
 	g := NewGraph()
-	p := &turtleParser{toks: toks, prefixes: map[string]string{},
-		emit: func(tr Triple) error { g.Add(tr); return nil }}
-	if err := p.run(); err != nil {
+	err := StreamTurtle(r, func(tr Triple) error {
+		g.Add(tr)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -63,14 +61,16 @@ type ttToken struct {
 	line int
 }
 
-func tokenizeTurtle(s string) ([]ttToken, error) {
-	return tokenizeTurtleInto(nil, s, 1)
+// turtleErr builds the error every Turtle tokenizer and parser failure
+// returns; line is 0 when the failure has no token to point at.
+func turtleErr(line int, format string, args ...any) error {
+	return &oberr.SyntaxError{Format: "turtle", Line: line, Reason: fmt.Sprintf(format, args...)}
 }
 
 // tokenizeTurtleInto appends the tokens of s to dst (reusing its capacity)
-// with line numbers counted from startLine — the form the streaming decoder
-// uses to tokenize one statement chunk at a time while keeping document
-// line numbers in errors.
+// with line numbers counted from startLine, so StreamTurtle can tokenize
+// one statement chunk at a time while keeping document line numbers in
+// errors.
 func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, error) {
 	toks := dst
 	line := startLine
@@ -91,14 +91,14 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 		case c == '<':
 			j := strings.IndexByte(s[i:], '>')
 			if j < 0 {
-				return nil, fmt.Errorf("rdf: turtle line %d: unterminated IRI", line)
+				return nil, turtleErr(line, "unterminated IRI")
 			}
 			emit(ttIRI, unescapeUnicode(s[i+1:i+j]))
 			i += j + 1
 		case c == '"':
 			val, consumed, err := scanTurtleString(s[i:])
 			if err != nil {
-				return nil, fmt.Errorf("rdf: turtle line %d: %w", line, err)
+				return nil, turtleErr(line, "%v", err)
 			}
 			line += strings.Count(s[i:i+consumed], "\n")
 			emit(ttString, val)
@@ -123,7 +123,7 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 				emit(ttCaret, "")
 				i += 2
 			} else {
-				return nil, fmt.Errorf("rdf: turtle line %d: stray '^'", line)
+				return nil, turtleErr(line, "stray '^'")
 			}
 		case c == '.':
 			// '.' may start a decimal like .5 — only when followed by a digit.
@@ -151,7 +151,7 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 				j--
 			}
 			if j == i+2 {
-				return nil, fmt.Errorf("rdf: turtle line %d: empty blank node label", line)
+				return nil, turtleErr(line, "empty blank node label")
 			}
 			emit(ttBlank, s[i+2:j])
 			i = j
@@ -170,7 +170,7 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 			// any '.', which the subset accepts.
 			word := s[i:j]
 			if word == "" {
-				return nil, fmt.Errorf("rdf: turtle line %d: unexpected character %q", line, c)
+				return nil, turtleErr(line, "unexpected character %q", c)
 			}
 			switch word {
 			case "a":
@@ -183,7 +183,7 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 				emit(ttAtBase, "")
 			default:
 				if !strings.Contains(word, ":") {
-					return nil, fmt.Errorf("rdf: turtle line %d: unexpected token %q", line, word)
+					return nil, turtleErr(line, "unexpected token %q", word)
 				}
 				emit(ttPName, word)
 			}
@@ -281,9 +281,6 @@ type turtleParser struct {
 func (p *turtleParser) eof() bool     { return p.pos >= len(p.toks) }
 func (p *turtleParser) peek() ttToken { return p.toks[p.pos] }
 func (p *turtleParser) next() ttToken { t := p.toks[p.pos]; p.pos++; return t }
-func (p *turtleParser) errf(t ttToken, format string, args ...any) error {
-	return fmt.Errorf("rdf: turtle line %d: %s", t.line, fmt.Sprintf(format, args...))
-}
 
 // run parses every directive and statement in p.toks, emitting triples
 // through p.emit.
@@ -312,12 +309,12 @@ func (p *turtleParser) run() error {
 
 func (p *turtleParser) parsePrefixDecl() error {
 	if p.eof() || p.peek().kind != ttPName {
-		return fmt.Errorf("rdf: turtle: @prefix expects 'name:'")
+		return turtleErr(0, "@prefix expects 'name:'")
 	}
 	name := p.next()
 	pfx := strings.TrimSuffix(name.val, ":")
 	if p.eof() || p.peek().kind != ttIRI {
-		return p.errf(name, "@prefix %s expects an IRI", pfx)
+		return turtleErr(name.line, "@prefix %s expects an IRI", pfx)
 	}
 	iri := p.next()
 	p.prefixes[pfx] = p.resolve(iri.val)
@@ -330,7 +327,7 @@ func (p *turtleParser) parsePrefixDecl() error {
 
 func (p *turtleParser) parseBaseDecl() error {
 	if p.eof() || p.peek().kind != ttIRI {
-		return fmt.Errorf("rdf: turtle: @base expects an IRI")
+		return turtleErr(0, "@base expects an IRI")
 	}
 	p.base = p.next().val
 	if !p.eof() && p.peek().kind == ttDot {
@@ -387,9 +384,9 @@ func (p *turtleParser) parseStatement() error {
 	}
 	if p.eof() || p.peek().kind != ttDot {
 		if p.eof() {
-			return fmt.Errorf("rdf: turtle: missing '.' at end of input")
+			return turtleErr(0, "missing '.' at end of input")
 		}
-		return p.errf(p.peek(), "expected '.' after statement")
+		return turtleErr(p.peek().line, "expected '.' after statement")
 	}
 	p.next()
 	return nil
@@ -397,7 +394,7 @@ func (p *turtleParser) parseStatement() error {
 
 func (p *turtleParser) parseSubject() (Term, error) {
 	if p.eof() {
-		return Term{}, fmt.Errorf("rdf: turtle: unexpected end of input (subject)")
+		return Term{}, turtleErr(0, "unexpected end of input (subject)")
 	}
 	t := p.next()
 	switch t.kind {
@@ -408,13 +405,13 @@ func (p *turtleParser) parseSubject() (Term, error) {
 	case ttBlank:
 		return NewBlank(t.val), nil
 	default:
-		return Term{}, p.errf(t, "invalid subject token")
+		return Term{}, turtleErr(t.line, "invalid subject token")
 	}
 }
 
 func (p *turtleParser) parsePredicate() (Term, error) {
 	if p.eof() {
-		return Term{}, fmt.Errorf("rdf: turtle: unexpected end of input (predicate)")
+		return Term{}, turtleErr(0, "unexpected end of input (predicate)")
 	}
 	t := p.next()
 	switch t.kind {
@@ -425,13 +422,13 @@ func (p *turtleParser) parsePredicate() (Term, error) {
 	case ttPName:
 		return p.expandPName(t)
 	default:
-		return Term{}, p.errf(t, "invalid predicate token")
+		return Term{}, turtleErr(t.line, "invalid predicate token")
 	}
 }
 
 func (p *turtleParser) parseObject() (Term, error) {
 	if p.eof() {
-		return Term{}, fmt.Errorf("rdf: turtle: unexpected end of input (object)")
+		return Term{}, turtleErr(0, "unexpected end of input (object)")
 	}
 	t := p.next()
 	switch t.kind {
@@ -460,7 +457,7 @@ func (p *turtleParser) parseObject() (Term, error) {
 		if !p.eof() && p.peek().kind == ttCaret {
 			p.next()
 			if p.eof() {
-				return Term{}, fmt.Errorf("rdf: turtle: missing datatype after '^^'")
+				return Term{}, turtleErr(0, "missing datatype after '^^'")
 			}
 			dt := p.next()
 			switch dt.kind {
@@ -473,12 +470,12 @@ func (p *turtleParser) parseObject() (Term, error) {
 				}
 				lit.Datatype = expanded.Value
 			default:
-				return Term{}, p.errf(dt, "invalid datatype token")
+				return Term{}, turtleErr(dt.line, "invalid datatype token")
 			}
 		}
 		return lit, nil
 	default:
-		return Term{}, p.errf(t, "invalid object token")
+		return Term{}, turtleErr(t.line, "invalid object token")
 	}
 }
 
@@ -487,7 +484,7 @@ func (p *turtleParser) expandPName(t ttToken) (Term, error) {
 	pfx, local := t.val[:idx], t.val[idx+1:]
 	ns, ok := p.prefixes[pfx]
 	if !ok {
-		return Term{}, p.errf(t, "undeclared prefix %q", pfx)
+		return Term{}, turtleErr(t.line, "undeclared prefix %q", pfx)
 	}
 	return NewIRI(ns + local), nil
 }
@@ -547,15 +544,12 @@ func WriteTurtle(w io.Writer, g *Graph, prefixes map[string]string) error {
 	}
 
 	for _, s := range g.Subjects() {
-		trs := g.Match(&s, nil, nil)
-		if len(trs) == 0 {
-			continue
-		}
 		fmt.Fprintf(&b, "%s ", abbrev(s))
-		for i, tr := range trs {
+		for i, idx := range g.bySubj[s] {
 			if i > 0 {
 				b.WriteString(" ;\n    ")
 			}
+			tr := g.triples[idx]
 			fmt.Fprintf(&b, "%s %s", abbrev(tr.P), abbrev(tr.O))
 		}
 		b.WriteString(" .\n")

@@ -216,7 +216,9 @@ func EducationLOD(spec LODSpec) (*Graph, error) { return synth.EducationLOD(spec
 
 // ProjectLargestClass flattens an RDF graph onto its most populous entity
 // class — the default LOD → common-representation step.
-func ProjectLargestClass(g *Graph) (*Table, error) { return core.ProjectLargestClass(g) }
+func ProjectLargestClass(g *Graph) (*Table, error) {
+	return rdf.Project(g, rdf.ProjectOptions{LargestClass: true})
+}
 
 // ---- Streaming LOD ingestion (constant-memory; see internal/rdf, dq, core) ----
 
