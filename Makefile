@@ -17,11 +17,11 @@ bench:
 	./scripts/bench.sh
 
 # Perf regression gate: rerun the bench suite into a scratch snapshot and
-# fail on >25% ns/op or allocs/op regression against the committed
-# baselines (see scripts/benchcmp). The serve curve gates p99-as-ns/op with
-# a 100% band: load-test latency on a shared runner is far noisier than a
-# microbenchmark, and a real admission/batching regression shows up as a
-# multiple, not as +40%.
+# fail on >40% ns/op or >25% allocs/op regression against the committed
+# baselines (scripts/benchcmp's defaults). The serve curve gates
+# p99-as-ns/op with a 100% band: load-test latency on a shared runner is
+# far noisier than a microbenchmark, and a real admission/batching
+# regression shows up as a multiple, not as +40%.
 bench-check:
 	OUT=/tmp/openbi_bench_check.json INGEST_OUT=/tmp/openbi_bench_check_ingest.json SERVE_OUT=/tmp/openbi_bench_check_serve.json ./scripts/bench.sh
 	go run ./scripts/benchcmp BENCH_experiments.json /tmp/openbi_bench_check.json

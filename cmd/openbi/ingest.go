@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"openbi/internal/atomicfile"
 	"openbi/internal/core"
 	"openbi/internal/dq"
 	"openbi/internal/rdf"
@@ -68,7 +69,7 @@ func cmdIngest(args []string) error {
 	}
 
 	if *csvOut != "" {
-		if err := writeFileAtomic(*csvOut, func(f *os.File) error {
+		if err := atomicfile.Write(*csvOut, 0o644, func(f *os.File) error {
 			return table.WriteCSV(f, ing.Table)
 		}); err != nil {
 			return err

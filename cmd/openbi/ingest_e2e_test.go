@@ -114,7 +114,7 @@ func TestCLIIngestGolden(t *testing.T) {
 }
 
 // TestCLIIngestCSVFailedWriteKeepsOldBytes: `ingest -csv` writes through
-// writeFileAtomic, so a write that fails partway leaves the previous CSV
+// atomicfile.Write, so a write that fails partway leaves the previous CSV
 // intact and no temp file behind. The failure is a real EFBIG: the ingest
 // runs in a child process whose file-size limit is below the projected
 // CSV's size (a limit set in this process would also hit the test

@@ -12,6 +12,7 @@ import (
 	"os"
 	"strings"
 
+	"openbi/internal/atomicfile"
 	"openbi/internal/kb"
 	"openbi/internal/provenance"
 )
@@ -74,7 +75,7 @@ func cmdKBMerge(args []string) error {
 	}
 	digest := sha256.New()
 	var doc bytes.Buffer
-	if err := writeFileAtomic(*out, func(w *os.File) error {
+	if err := atomicfile.Write(*out, 0o644, func(w *os.File) error {
 		return merged.Save(io.MultiWriter(w, digest, &doc))
 	}); err != nil {
 		return err
@@ -205,7 +206,7 @@ func signAndWriteManifest(m *provenance.Manifest, path string, priv ed25519.Priv
 			return err
 		}
 	}
-	return writeFileAtomic(path, func(w *os.File) error {
+	return atomicfile.Write(path, 0o644, func(w *os.File) error {
 		return m.Save(w)
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"openbi/internal/atomicfile"
 	"openbi/internal/core"
 	"openbi/internal/loadgen"
 	"openbi/internal/server"
@@ -157,7 +158,7 @@ func cmdLoadgen(args []string) (retErr error) {
 
 	if *out != "" {
 		snap := loadgen.BuildSnapshot("LoadgenServeAdvise", levels, sweepRes)
-		if err := writeFileAtomic(*out, func(f *os.File) error {
+		if err := atomicfile.Write(*out, 0o644, func(f *os.File) error {
 			return loadgen.WriteSnapshot(f, snap)
 		}); err != nil {
 			return err

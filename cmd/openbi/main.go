@@ -49,6 +49,7 @@ import (
 	"syscall"
 	"time"
 
+	"openbi/internal/atomicfile"
 	"openbi/internal/clean"
 	"openbi/internal/core"
 	"openbi/internal/cwm"
@@ -192,7 +193,7 @@ func cmdGenerate(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := writeFileAtomic(*out, func(f *os.File) error {
+		if err := atomicfile.Write(*out, 0o644, func(f *os.File) error {
 			return rdf.WriteNTriples(f, g)
 		}); err != nil {
 			return err
@@ -204,7 +205,7 @@ func cmdGenerate(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := writeFileAtomic(*out, func(f *os.File) error {
+		if err := atomicfile.Write(*out, 0o644, func(f *os.File) error {
 			return writeCSV(f, ds)
 		}); err != nil {
 			return err
@@ -255,7 +256,7 @@ func cmdProfile(args []string) error {
 	printProfile(tb.Name, m.Profile)
 
 	if *modelOut != "" {
-		if err := writeFileAtomic(*modelOut, func(f *os.File) error {
+		if err := atomicfile.Write(*modelOut, 0o644, func(f *os.File) error {
 			if strings.HasSuffix(*modelOut, ".json") {
 				return cwm.WriteJSON(f, m.Catalog)
 			}
@@ -380,7 +381,7 @@ func cmdExperiments(args []string) error {
 		if err != nil {
 			return explainRunError(err)
 		}
-		if err := writeFileAtomic(path, func(w *os.File) error { return sh.Save(w) }); err != nil {
+		if err := atomicfile.Write(path, 0o644, func(w *os.File) error { return sh.Save(w) }); err != nil {
 			return err
 		}
 		fmt.Printf("shard %s: %d of %d grid records written to %s\n", plan, len(sh.Records),
@@ -418,7 +419,7 @@ func cmdExperiments(args []string) error {
 	t.Render(os.Stdout)
 
 	var doc bytes.Buffer
-	if err := writeFileAtomic(*out, func(f *os.File) error {
+	if err := atomicfile.Write(*out, 0o644, func(f *os.File) error {
 		return eng.SaveKB(io.MultiWriter(f, &doc))
 	}); err != nil {
 		return err
@@ -535,7 +536,7 @@ func cmdMine(args []string) error {
 	fmt.Printf("mined with %s: accuracy %.3f, kappa %.3f, macro-F1 %.3f on %d held-out instances\n",
 		res.Algorithm, res.Metrics.Accuracy, res.Metrics.Kappa, res.Metrics.MacroF1, res.Metrics.TestInstances)
 	if *share != "" {
-		if err := writeFileAtomic(*share, func(f *os.File) error {
+		if err := atomicfile.Write(*share, 0o644, func(f *os.File) error {
 			return rdf.WriteNTriples(f, res.Shared)
 		}); err != nil {
 			return err
@@ -624,7 +625,7 @@ func cmdRepair(args []string) error {
 	for _, r := range reports {
 		fmt.Printf("applied %-18s changed %d cells/rows\n", r.Step, r.Changed)
 	}
-	if err := writeFileAtomic(*out, func(f *os.File) error {
+	if err := atomicfile.Write(*out, 0o644, func(f *os.File) error {
 		return table.WriteCSV(f, repaired)
 	}); err != nil {
 		return err

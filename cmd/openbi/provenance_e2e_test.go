@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"openbi/internal/atomicfile"
 	"openbi/internal/eval"
 	"openbi/internal/kb"
 	"openbi/internal/provenance"
@@ -43,7 +44,7 @@ func writeProvKB(t *testing.T, dir string, base *kb.KnowledgeBase) string {
 	t.Helper()
 	path := filepath.Join(dir, "kb.json")
 	var doc bytes.Buffer
-	if err := writeFileAtomic(path, func(f *os.File) error {
+	if err := atomicfile.Write(path, 0o644, func(f *os.File) error {
 		return base.Save(io.MultiWriter(f, &doc))
 	}); err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestCLIKBVerifySigned(t *testing.T) {
 	base := provTestKB("alpha")
 	path := filepath.Join(dir, "kb.json")
 	var doc bytes.Buffer
-	if err := writeFileAtomic(path, func(f *os.File) error {
+	if err := atomicfile.Write(path, 0o644, func(f *os.File) error {
 		return base.Save(io.MultiWriter(f, &doc))
 	}); err != nil {
 		t.Fatal(err)

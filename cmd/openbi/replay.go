@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"openbi/internal/atomicfile"
 	"openbi/internal/loadgen"
 	"openbi/internal/replay"
 )
@@ -118,7 +119,7 @@ func cmdReplay(args []string) error {
 	fmt.Print(rep.Summary())
 
 	if *out != "" {
-		if err := writeFileAtomic(*out, func(f *os.File) error { return rep.WriteJSON(f) }); err != nil {
+		if err := atomicfile.Write(*out, 0o644, func(f *os.File) error { return rep.WriteJSON(f) }); err != nil {
 			return err
 		}
 		fmt.Printf("replay report written to %s\n", *out)

@@ -1,4 +1,4 @@
-package main
+package atomicfile
 
 import (
 	"fmt"
@@ -7,19 +7,19 @@ import (
 	"testing"
 )
 
-// TestWriteFileAtomicFailureLeavesOldBytes is the regression for the torn
-// -out hole: a write that fails partway (disk full, panic-recovered
+// TestWriteFailureLeavesOldBytes is the regression for the torn -out
+// hole: a write that fails partway (disk full, panic-recovered
 // encoder, killed encoder goroutine) must leave the previous file contents
 // intact — never a prefix of the new ones — and must not litter the
 // directory with temp files.
-func TestWriteFileAtomicFailureLeavesOldBytes(t *testing.T) {
+func TestWriteFailureLeavesOldBytes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kb.json")
 	if err := os.WriteFile(path, []byte("old complete artifact"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	err := writeFileAtomic(path, func(f *os.File) error {
+	err := Write(path, 0o644, func(f *os.File) error {
 		if _, err := f.WriteString(`{"records": [truncat`); err != nil {
 			return err
 		}
@@ -48,13 +48,13 @@ func TestWriteFileAtomicFailureLeavesOldBytes(t *testing.T) {
 	}
 }
 
-func TestWriteFileAtomicSuccessReplaces(t *testing.T) {
+func TestWriteSuccessReplaces(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.nt")
 	if err := os.WriteFile(path, []byte("previous"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(path, func(f *os.File) error {
+	if err := Write(path, 0o644, func(f *os.File) error {
 		_, err := f.WriteString("fresh bytes")
 		return err
 	}); err != nil {

@@ -319,7 +319,7 @@ func TestCleaningRecoversCompleteness(t *testing.T) {
 }
 
 // TestDedupQuestionMarkLabelVsMissing is the regression test for the
-// RowKey collision: a row whose nominal cell is the literal "?" category
+// row-key collision: a row whose nominal cell is the literal "?" category
 // and a row whose cell is missing rendered the same key, so exact dedup
 // dropped one of them. They are distinct rows and both must survive.
 func TestDedupQuestionMarkLabelVsMissing(t *testing.T) {

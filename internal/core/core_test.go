@@ -52,10 +52,8 @@ func TestIngestFileCSV(t *testing.T) {
 }
 
 func TestIngestFileXMLAndHTML(t *testing.T) {
-	// The Engine method delegates to the package function; exercise both.
-	e := newEngine(t)
 	xml := writeTemp(t, "d.xml", "<r><e><v>1</v></e><e><v>2</v></e></r>")
-	if tb, err := e.IngestFile(xml); err != nil || tb.NumRows() != 2 {
+	if tb, err := IngestFile(xml); err != nil || tb.NumRows() != 2 {
 		t.Fatalf("xml ingest: %v", err)
 	}
 	html := writeTemp(t, "d.html", "<table><tr><th>v</th></tr><tr><td>1</td></tr></table>")
@@ -190,16 +188,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 }
 
-func TestDeprecatedNewEngineShim(t *testing.T) {
-	e := NewEngine(42)
-	if e.Seed() != 42 || e.Folds() != 5 || e.Workers() != 0 {
-		t.Fatalf("shim defaults: seed=%d folds=%d workers=%d", e.Seed(), e.Folds(), e.Workers())
-	}
-	if e.KB().Len() != 0 {
-		t.Fatal("fresh engine should publish an empty snapshot")
-	}
-}
-
 // populateKB runs a tiny Phase-1 and loads the records into the engine via
 // the persistence path (the only write entry points are RunExperiments and
 // LoadKB by design).
@@ -242,7 +230,11 @@ func TestAdviseEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	advice, model, err := e.Advise(context.Background(), dirty, "class")
+	adv, err := e.Advisor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	advice, model, err := adv.Advise(context.Background(), dirty, "class")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +253,6 @@ func TestAdviseEndToEnd(t *testing.T) {
 
 func TestAdviseEmptyKBFails(t *testing.T) {
 	e := newEngine(t)
-	ds := synth.MustMakeClassification(synth.ClassificationSpec{Rows: 60, Seed: 5})
-	_, _, err := e.Advise(context.Background(), ds.T, "class")
-	if !errors.Is(err, oberr.ErrEmptyKB) {
-		t.Fatalf("err = %v, want ErrEmptyKB", err)
-	}
 	if _, err := e.Advisor(); !errors.Is(err, oberr.ErrEmptyKB) {
 		t.Fatalf("Advisor err = %v, want ErrEmptyKB", err)
 	}
@@ -360,7 +347,11 @@ func TestMineWithAdviceSharesLOD(t *testing.T) {
 	ds := synth.MustMakeClassification(synth.ClassificationSpec{Rows: 240, Seed: 7})
 	populateKB(t, e, ds)
 
-	res, err := e.MineWithAdvice(context.Background(), ds.T, "class", "http://test.example/")
+	adv, err := e.Advisor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := adv.MineWithAdvice(context.Background(), ds.T, "class", "http://test.example/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,10 +460,11 @@ func TestAdvisorSessionPinnedToSnapshot(t *testing.T) {
 	}
 }
 
-// TestConcurrentServing hammers one populated engine with parallel Advise
-// and MineWithAdvice calls while a LoadKB swaps the knowledge base
-// mid-flight. Run under -race this is the serving-safety contract of the
-// redesign: immutable snapshots + atomic publication.
+// TestConcurrentServing hammers one populated engine with parallel Advisor
+// sessions (Advise and MineWithAdvice, each on the snapshot current when
+// the session opened) while a LoadKB swaps the knowledge base mid-flight.
+// Run under -race this is the serving-safety contract of the redesign:
+// immutable snapshots + atomic publication.
 func TestConcurrentServing(t *testing.T) {
 	e := newEngine(t, WithSeed(4))
 	ds := synth.MustMakeClassification(synth.ClassificationSpec{Rows: 240, Seed: 4})
@@ -497,13 +489,18 @@ func TestConcurrentServing(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				advice, _, err := e.Advise(ctx, dirty, "class")
+				adv, err := e.Advisor()
+				if err != nil {
+					t.Errorf("goroutine %d: advisor: %v", g, err)
+					return
+				}
+				advice, _, err := adv.Advise(ctx, dirty, "class")
 				if err != nil || advice.Best().Algorithm == "" {
 					t.Errorf("goroutine %d: advise: %v", g, err)
 					return
 				}
 				if g%2 == 0 {
-					res, err := e.MineWithAdvice(ctx, dirty, "class", "http://t.example/")
+					res, err := adv.MineWithAdvice(ctx, dirty, "class", "http://t.example/")
 					if err != nil || res.Shared.Len() == 0 {
 						t.Errorf("goroutine %d: mine: %v", g, err)
 						return

@@ -22,11 +22,10 @@ import (
 
 // Engine is the OpenBI serving object. Its configuration (seed, folds,
 // workers, combos, algorithm suite) is fixed at New and never mutated, so
-// any number of goroutines can call Advise and MineWithAdvice while
-// another runs RunExperiments or LoadKB: readers serve from an immutable
-// kb.Snapshot swapped atomically, writers serialize on an internal mutex.
-// The old mutable-field API (KB, Folds, Workers as exported fields) is
-// gone; use functional options at construction and accessors afterwards.
+// any number of Advisor sessions can serve while another goroutine runs
+// RunExperiments or LoadKB: readers serve from an immutable kb.Snapshot
+// swapped atomically, writers serialize on an internal mutex. Configure
+// with functional options at construction and read back with accessors.
 type Engine struct {
 	seed          int64
 	folds         int
@@ -235,18 +234,6 @@ func New(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// NewEngine returns an Engine with an empty DQ4DM knowledge base.
-//
-// Deprecated: use New(WithSeed(seed)); configure folds and workers with
-// WithFolds / WithWorkers instead of the removed struct fields.
-func NewEngine(seed int64) *Engine {
-	e, err := New(WithSeed(seed))
-	if err != nil {
-		panic(err) // unreachable: defaults validate
-	}
-	return e
-}
-
 // Seed returns the engine's base seed.
 func (e *Engine) Seed() int64 { return e.seed }
 
@@ -261,15 +248,6 @@ func (e *Engine) Workers() int { return e.workers }
 // by RunExperiments and LoadKB; hold one to keep a consistent view across
 // queries (or use Advisor for the same plus mining entry points).
 func (e *Engine) KB() *kb.Snapshot { return e.snap.Load() }
-
-// IngestFile reads one open-data file into a table; see core.IngestFile.
-func (e *Engine) IngestFile(path string) (*table.Table, error) { return IngestFile(path) }
-
-// BuildModel profiles a source into an annotated common representation;
-// see core.BuildModel.
-func (e *Engine) BuildModel(a table.Access, classColumn string) (*Model, error) {
-	return BuildModel(a, classColumn)
-}
 
 // ---- Experiments (Figure 2, left side; §3.1) ----
 
@@ -577,21 +555,6 @@ func (a *Advisor) MineWithAdvice(ctx context.Context, src table.Access, classCol
 	g.Add(rdf.Triple{S: prov, P: rdf.NewIRI(baseIRI + "def/sourceSha256"), O: rdf.NewLiteral(hex.EncodeToString(srcHash.Sum(nil)))})
 	g.Add(rdf.Triple{S: prov, P: rdf.NewIRI(baseIRI + "def/toolchain"), O: rdf.NewLiteral(runtime.Version())})
 	return &MiningResult{Algorithm: best, Metrics: metrics, Advice: advice, Model: model, Shared: g}, nil
-}
-
-// Advise measures a source and ranks the suite's algorithms for it using
-// the engine's current snapshot. For several queries against one
-// consistent KB view, open an Advisor session instead.
-func (e *Engine) Advise(ctx context.Context, src table.Access, classColumn string) (kb.Advice, *Model, error) {
-	a := &Advisor{snap: e.snap.Load(), seed: e.seed}
-	return a.Advise(ctx, src, classColumn)
-}
-
-// MineWithAdvice is Advisor.MineWithAdvice against the engine's current
-// snapshot.
-func (e *Engine) MineWithAdvice(ctx context.Context, src table.Access, classColumn, baseIRI string) (*MiningResult, error) {
-	a := &Advisor{snap: e.snap.Load(), seed: e.seed}
-	return a.MineWithAdvice(ctx, src, classColumn, baseIRI)
 }
 
 // ---- KB persistence ----

@@ -63,9 +63,3 @@ func IngestLOD(r io.Reader, format string, opts rdf.ProjectOptions) (*LODIngest,
 	}
 	return ing, nil
 }
-
-// IngestLOD streams one RDF document through the engine-independent
-// pipeline; see the package function.
-func (e *Engine) IngestLOD(r io.Reader, format string, opts rdf.ProjectOptions) (*LODIngest, error) {
-	return IngestLOD(r, format, opts)
-}

@@ -2,6 +2,7 @@ package dq
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"openbi/internal/rdf"
@@ -29,7 +30,7 @@ func buildLODFixture() *rdf.Graph {
 			g.Add(rdf.Triple{S: s, P: label, O: rdf.NewLiteral("thing")})
 		}
 		if i < 3 { // pop present on 3 of 4 entities
-			g.Add(rdf.Triple{S: s, P: pop, O: rdf.NewInteger(int64(i))})
+			g.Add(rdf.Triple{S: s, P: pop, O: rdf.NewTypedLiteral(strconv.Itoa(i), rdf.XSDInteger)})
 		}
 	}
 	// One resolvable link, one dangling link.

@@ -32,8 +32,8 @@ func sketchFixtures(t *testing.T) map[string]*rdf.Graph {
 	s := rdf.NewIRI("http://e/multi")
 	g.Add(rdf.Triple{S: s, P: typ, O: rdf.NewIRI("http://d/A")})
 	g.Add(rdf.Triple{S: s, P: typ, O: rdf.NewIRI("http://d/B")})
-	g.Add(rdf.Triple{S: s, P: rdf.NewIRI("http://d/p"), O: rdf.NewInteger(1)})
-	g.Add(rdf.Triple{S: rdf.NewIRI("http://e/classless"), P: rdf.NewIRI("http://d/p"), O: rdf.NewInteger(2)})
+	g.Add(rdf.Triple{S: s, P: rdf.NewIRI("http://d/p"), O: rdf.NewTypedLiteral("1", rdf.XSDInteger)})
+	g.Add(rdf.Triple{S: rdf.NewIRI("http://e/classless"), P: rdf.NewIRI("http://d/p"), O: rdf.NewTypedLiteral("2", rdf.XSDInteger)})
 	out["multi-type"] = g
 	return out
 }
@@ -145,7 +145,7 @@ func TestSketchFirstTypeAcrossPartitions(t *testing.T) {
 	p := rdf.NewIRI("http://d/p")
 	raw := []rdf.Triple{
 		{S: s, P: typ, O: rdf.NewIRI("http://d/A")},
-		{S: s, P: p, O: rdf.NewInteger(1)},
+		{S: s, P: p, O: rdf.NewTypedLiteral("1", rdf.XSDInteger)},
 		{S: s, P: typ, O: rdf.NewIRI("http://d/B")},
 	}
 	mono := NewLODSketch()

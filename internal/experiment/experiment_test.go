@@ -115,9 +115,10 @@ func TestPhase1DegradationShape(t *testing.T) {
 	for _, r := range recs {
 		base.Add(r)
 	}
+	snap := base.Snapshot()
 	// Label noise at 0.4 must hurt every algorithm vs its clean baseline.
 	for _, alg := range []string{"naive-bayes", "c45"} {
-		curve := base.Curve(alg, dq.LabelNoise)
+		curve := snap.Curve(alg, dq.LabelNoise)
 		if len(curve) != 3 {
 			t.Fatalf("curve points = %d", len(curve))
 		}
@@ -139,7 +140,8 @@ func TestPhase2InteractionAndRecords(t *testing.T) {
 		base.Add(r)
 	}
 	combos := [][]dq.Criterion{{dq.LabelNoise, dq.Completeness}}
-	mixed, recs, err := Phase2(context.Background(), cfg, ds, "unit", base.Snapshot(), combos, 0.3)
+	snap := base.Snapshot()
+	mixed, recs, err := Phase2(context.Background(), cfg, ds, "unit", snap, combos, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestPhase2InteractionAndRecords(t *testing.T) {
 		t.Fatalf("mixed=%d recs=%d, want 2/2", len(mixed), len(recs))
 	}
 	for _, m := range mixed {
-		if m.Actual.Kappa > base.BaselineKappa(m.Algorithm) {
+		if m.Actual.Kappa > snap.BaselineKappa(m.Algorithm) {
 			t.Fatalf("mixed corruption did not hurt %s", m.Algorithm)
 		}
 		if m.PredictedKappa == 0 {

@@ -54,9 +54,10 @@ type Record struct {
 }
 
 // KnowledgeBase is the write side of the DQ4DM store: an append-only
-// sequence of experiment records. Mutation is Add only; reads for serving
-// go through Snapshot(). A KnowledgeBase is owned by a single writer —
-// it does no internal locking (core.Engine serializes its writes).
+// sequence of experiment records. Mutation is Add only; every read —
+// curves, baselines, sensitivities, advice — goes through Snapshot(). A
+// KnowledgeBase is owned by a single writer — it does no internal locking
+// (core.Engine serializes its writes).
 type KnowledgeBase struct {
 	Records []Record `json:"records"`
 }
@@ -69,9 +70,6 @@ func (k *KnowledgeBase) Add(r Record) { k.Records = append(k.Records, r) }
 
 // Len returns the number of records.
 func (k *KnowledgeBase) Len() int { return len(k.Records) }
-
-// Algorithms returns the distinct algorithm names, sorted.
-func (k *KnowledgeBase) Algorithms() []string { return algorithmsOf(k.Records) }
 
 func algorithmsOf(records []Record) []string {
 	set := map[string]bool{}
@@ -216,71 +214,6 @@ func lossAt(curve []CurvePoint, s float64) float64 {
 		return 0
 	}
 	return loss
-}
-
-// ---- Deprecated read shims ----
-//
-// The methods below predate the builder/Snapshot split. They delegate to a
-// freshly built Snapshot per call, which recomputes every curve — fine for
-// a one-off query or a test fixture, wasteful in a loop. Serving paths
-// should hold a Snapshot and query it instead.
-
-// Curve returns the degradation curve on the injected-severity axis.
-//
-// Deprecated: use Snapshot().Curve; hold the snapshot across queries.
-func (k *KnowledgeBase) Curve(algorithm string, criterion dq.Criterion) []CurvePoint {
-	return curveOf(k.Records, algorithm, criterion, false)
-}
-
-// MeasuredCurve returns the degradation curve on the measured-severity axis.
-//
-// Deprecated: use Snapshot().MeasuredCurve; hold the snapshot across queries.
-func (k *KnowledgeBase) MeasuredCurve(algorithm string, criterion dq.Criterion) []CurvePoint {
-	return curveOf(k.Records, algorithm, criterion, true)
-}
-
-// BaselineKappa returns the mean clean kappa of an algorithm.
-//
-// Deprecated: use Snapshot().BaselineKappa; hold the snapshot across queries.
-func (k *KnowledgeBase) BaselineKappa(algorithm string) float64 {
-	return baselineOf(k.Records, algorithm)
-}
-
-// Sensitivity returns the per-unit-severity kappa loss of an algorithm
-// under a criterion.
-//
-// Deprecated: use Snapshot().Sensitivity; hold the snapshot across queries.
-func (k *KnowledgeBase) Sensitivity(algorithm string, criterion dq.Criterion) float64 {
-	return -slopeOf(k.Curve(algorithm, criterion))
-}
-
-// PredictKappa estimates the kappa an algorithm would achieve on a source
-// with the given severity vector.
-//
-// Deprecated: use Snapshot().PredictKappa; hold the snapshot across queries.
-func (k *KnowledgeBase) PredictKappa(algorithm string, severities []float64) float64 {
-	return k.Snapshot().PredictKappa(algorithm, severities)
-}
-
-// SensitivityTable renders the algorithm × criterion sensitivity matrix.
-//
-// Deprecated: use Snapshot().SensitivityTable; hold the snapshot across queries.
-func (k *KnowledgeBase) SensitivityTable() (algorithms []string, criteria []dq.Criterion, cells [][]float64) {
-	return k.Snapshot().SensitivityTable()
-}
-
-// Advise ranks every algorithm for a source with the given profile.
-//
-// Deprecated: use Snapshot().Advise; hold the snapshot across queries.
-func (k *KnowledgeBase) Advise(p dq.Profile) (Advice, error) {
-	return k.Snapshot().Advise(p)
-}
-
-// AdviseSeverities is Advise for a raw severity vector.
-//
-// Deprecated: use Snapshot().AdviseSeverities; hold the snapshot across queries.
-func (k *KnowledgeBase) AdviseSeverities(severities []float64) (Advice, error) {
-	return k.Snapshot().AdviseSeverities(severities)
 }
 
 // ---- Persistence ----

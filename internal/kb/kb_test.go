@@ -47,7 +47,7 @@ func seedKB() *KnowledgeBase {
 }
 
 func TestAlgorithms(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	algs := k.Algorithms()
 	if len(algs) != 2 || algs[0] != "fragile" || algs[1] != "robust" {
 		t.Fatalf("algorithms = %v", algs)
@@ -55,7 +55,7 @@ func TestAlgorithms(t *testing.T) {
 }
 
 func TestBaselineKappa(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	if got := k.BaselineKappa("robust"); got != 0.8 {
 		t.Fatalf("baseline = %v", got)
 	}
@@ -65,7 +65,7 @@ func TestBaselineKappa(t *testing.T) {
 }
 
 func TestCurveInjectedAxis(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	c := k.Curve("fragile", dq.LabelNoise)
 	if len(c) != 3 {
 		t.Fatalf("curve points = %d, want 3", len(c))
@@ -79,7 +79,7 @@ func TestCurveInjectedAxis(t *testing.T) {
 }
 
 func TestMeasuredCurveUsesMeasuredAxis(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	c := k.MeasuredCurve("fragile", dq.LabelNoise)
 	if c[0].Severity != 0.1 {
 		t.Fatalf("clean anchor = %v, want measured 0.1", c[0].Severity)
@@ -90,7 +90,7 @@ func TestMeasuredCurveUsesMeasuredAxis(t *testing.T) {
 }
 
 func TestSensitivitySigns(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	if s := k.Sensitivity("fragile", dq.LabelNoise); s <= 0 {
 		t.Fatalf("fragile noise sensitivity = %v, want positive", s)
 	}
@@ -103,7 +103,7 @@ func TestSensitivitySigns(t *testing.T) {
 }
 
 func TestPredictKappaCleanEqualsBaseline(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	sev := make([]float64, len(dq.AllCriteria()))
 	sev[dq.LabelNoise] = 0.1 // the measured floor of clean data
 	got := k.PredictKappa("fragile", sev)
@@ -113,7 +113,7 @@ func TestPredictKappaCleanEqualsBaseline(t *testing.T) {
 }
 
 func TestPredictKappaInterpolates(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	sev := make([]float64, len(dq.AllCriteria()))
 	sev[dq.LabelNoise] = 0.4 // midway between measured 0.3 and 0.5
 	got := k.PredictKappa("fragile", sev)
@@ -124,7 +124,7 @@ func TestPredictKappaInterpolates(t *testing.T) {
 }
 
 func TestPredictKappaAdditiveAcrossCriteria(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	sev := make([]float64, len(dq.AllCriteria()))
 	sev[dq.LabelNoise] = 0.3
 	sev[dq.Completeness] = 0.2
@@ -136,7 +136,7 @@ func TestPredictKappaAdditiveAcrossCriteria(t *testing.T) {
 }
 
 func TestPredictKappaExtrapolatesBeyondCurve(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	sev := make([]float64, len(dq.AllCriteria()))
 	sev[dq.LabelNoise] = 0.9
 	got := k.PredictKappa("fragile", sev)
@@ -149,7 +149,7 @@ func TestPredictKappaExtrapolatesBeyondCurve(t *testing.T) {
 }
 
 func TestAdviseRanksByScenario(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	// Scenario A: heavy label noise -> robust wins despite lower baseline.
 	sevA := make([]float64, len(dq.AllCriteria()))
 	sevA[dq.LabelNoise] = 0.5
@@ -174,7 +174,7 @@ func TestAdviseRanksByScenario(t *testing.T) {
 }
 
 func TestAdviseDominantAndPenalties(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	sev := make([]float64, len(dq.AllCriteria()))
 	sev[dq.LabelNoise] = 0.5
 	sev[dq.Completeness] = 0.2
@@ -195,13 +195,13 @@ func TestAdviseDominantAndPenalties(t *testing.T) {
 }
 
 func TestAdviseEmptyKB(t *testing.T) {
-	if _, err := New().AdviseSeverities(make([]float64, 7)); err == nil {
+	if _, err := New().Snapshot().AdviseSeverities(make([]float64, 7)); err == nil {
 		t.Fatal("empty KB should error")
 	}
 }
 
 func TestAdviseWarnsOnHopelessSource(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	sev := make([]float64, len(dq.AllCriteria()))
 	sev[dq.LabelNoise] = 1
 	sev[dq.Completeness] = 1
@@ -215,7 +215,7 @@ func TestAdviseWarnsOnHopelessSource(t *testing.T) {
 }
 
 func TestExplainMentionsBest(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	sev := make([]float64, len(dq.AllCriteria()))
 	sev[dq.LabelNoise] = 0.5
 	adv, _ := k.AdviseSeverities(sev)
@@ -244,8 +244,8 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	// Advice identical after roundtrip.
 	sev := make([]float64, len(dq.AllCriteria()))
 	sev[dq.LabelNoise] = 0.5
-	a, _ := k.AdviseSeverities(sev)
-	b, _ := back.AdviseSeverities(sev)
+	a, _ := k.Snapshot().AdviseSeverities(sev)
+	b, _ := back.Snapshot().AdviseSeverities(sev)
 	if a.Best().Algorithm != b.Best().Algorithm ||
 		math.Abs(a.Best().PredictedKappa-b.Best().PredictedKappa) > 1e-12 {
 		t.Fatal("advice changed across persistence")
@@ -259,7 +259,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestSensitivityTableShape(t *testing.T) {
-	k := seedKB()
+	k := seedKB().Snapshot()
 	algs, crits, cells := k.SensitivityTable()
 	if len(algs) != 2 || len(crits) != len(dq.AllCriteria()) {
 		t.Fatalf("table shape %dx%d", len(algs), len(crits))
@@ -283,7 +283,7 @@ func TestMixedRecordsExcludedFromCurves(t *testing.T) {
 		Severity: 0.3, Mixed: true, Dataset: "unit",
 		Metrics: eval.Metrics{Kappa: -0.5},
 	})
-	c := k.Curve("fragile", dq.LabelNoise)
+	c := k.Snapshot().Curve("fragile", dq.LabelNoise)
 	for _, p := range c {
 		if p.Kappa == -0.5 {
 			t.Fatal("mixed record leaked into a simple curve")

@@ -172,7 +172,7 @@ func TestOneRSelectsInformativeAttribute(t *testing.T) {
 	if err := o.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Attribute(ds); got != "x" && got != "color" {
+	if got := ds.T.ColumnName(o.attr); got != "x" && got != "color" {
 		t.Fatalf("OneR chose %q, want an informative attribute", got)
 	}
 }

@@ -179,10 +179,6 @@ func (o *OneR) Predict(ds *Dataset, r int) int {
 	return o.ruleFor[code]
 }
 
-// Attribute returns the name of the selected attribute (after Fit) — the
-// user-facing explanation OpenBI shows a citizen.
-func (o *OneR) Attribute(ds *Dataset) string { return ds.T.ColumnName(o.attr) }
-
 func binOf(v float64, cuts []float64) int {
 	b := 0
 	for b < len(cuts) && v > cuts[b] {

@@ -4,94 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"openbi/internal/stats"
 	"openbi/internal/table"
 )
-
-// blobs builds three well-separated Gaussian blobs in 2-D.
-func blobs(perCluster int, seed int64) *table.Table {
-	rng := stats.NewRand(seed)
-	t := table.New("blobs")
-	x := table.NewNumericColumn("x")
-	y := table.NewNumericColumn("y")
-	centers := [][2]float64{{0, 0}, {10, 10}, {-10, 10}}
-	for _, c := range centers {
-		for i := 0; i < perCluster; i++ {
-			x.AppendFloat(c[0] + rng.NormFloat64()*0.5)
-			y.AppendFloat(c[1] + rng.NormFloat64()*0.5)
-		}
-	}
-	t.MustAddColumn(x)
-	t.MustAddColumn(y)
-	return t
-}
-
-func TestKMeansRecoversBlobs(t *testing.T) {
-	tb := blobs(50, 1)
-	km := NewKMeans(3, 7)
-	if err := km.Fit(tb); err != nil {
-		t.Fatal(err)
-	}
-	// Every blob's 50 points must share a cluster; different blobs differ.
-	first := make([]int, 3)
-	for b := 0; b < 3; b++ {
-		first[b] = km.Assign(tb, b*50)
-		for i := 0; i < 50; i++ {
-			if km.Assign(tb, b*50+i) != first[b] {
-				t.Fatalf("blob %d split across clusters", b)
-			}
-		}
-	}
-	if first[0] == first[1] || first[1] == first[2] || first[0] == first[2] {
-		t.Fatalf("blobs merged: %v", first)
-	}
-}
-
-func TestKMeansInertiaDropsWithK(t *testing.T) {
-	tb := blobs(40, 2)
-	km1 := NewKMeans(1, 3)
-	km3 := NewKMeans(3, 3)
-	if err := km1.Fit(tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := km3.Fit(tb); err != nil {
-		t.Fatal(err)
-	}
-	if km3.Inertia >= km1.Inertia {
-		t.Fatalf("inertia k=3 (%v) not below k=1 (%v)", km3.Inertia, km1.Inertia)
-	}
-}
-
-func TestKMeansValidation(t *testing.T) {
-	tb := blobs(2, 1)
-	if err := NewKMeans(0, 1).Fit(tb); err == nil {
-		t.Fatal("K=0 should error")
-	}
-	if err := NewKMeans(100, 1).Fit(tb); err == nil {
-		t.Fatal("K > rows should error")
-	}
-	nom := table.New("nom")
-	c := table.NewNominalColumn("c", "a")
-	c.AppendCode(0)
-	nom.MustAddColumn(c)
-	if err := NewKMeans(1, 1).Fit(nom); err == nil {
-		t.Fatal("numeric-less table should error")
-	}
-}
-
-func TestKMeansDeterministic(t *testing.T) {
-	tb := blobs(30, 4)
-	a, b := NewKMeans(3, 11), NewKMeans(3, 11)
-	if err := a.Fit(tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Fit(tb); err != nil {
-		t.Fatal(err)
-	}
-	if a.Inertia != b.Inertia {
-		t.Fatal("same seed, different inertia")
-	}
-}
 
 // basket builds the classic transactional fixture: bread+butter implies milk.
 func basket() *table.Table {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"openbi/internal/atomicfile"
 )
 
 // Key files are one lowercase-hex line: 64 bytes (ed25519 seed || public
@@ -23,20 +25,28 @@ func GenerateKeyPair() (ed25519.PublicKey, ed25519.PrivateKey, error) {
 }
 
 // SavePrivateKeyFile writes a private key hex-encoded with owner-only
-// permissions.
+// permissions (0600), crash-safely.
 func SavePrivateKeyFile(path string, priv ed25519.PrivateKey) error {
 	if len(priv) != ed25519.PrivateKeySize {
 		return fmt.Errorf("provenance: private key has %d bytes, want %d", len(priv), ed25519.PrivateKeySize)
 	}
-	return os.WriteFile(path, []byte(hex.EncodeToString(priv)+"\n"), 0o600)
+	return writeKeyFile(path, priv, 0o600)
 }
 
-// SavePublicKeyFile writes a public key hex-encoded.
+// SavePublicKeyFile writes a public key hex-encoded (0644), crash-safely.
 func SavePublicKeyFile(path string, pub ed25519.PublicKey) error {
 	if len(pub) != ed25519.PublicKeySize {
 		return fmt.Errorf("provenance: public key has %d bytes, want %d", len(pub), ed25519.PublicKeySize)
 	}
-	return os.WriteFile(path, []byte(hex.EncodeToString(pub)+"\n"), 0o644)
+	return writeKeyFile(path, pub, 0o644)
+}
+
+// writeKeyFile writes one hex line crash-safely with the given mode.
+func writeKeyFile(path string, key []byte, perm os.FileMode) error {
+	return atomicfile.Write(path, perm, func(f *os.File) error {
+		_, err := f.WriteString(hex.EncodeToString(key) + "\n")
+		return err
+	})
 }
 
 // readKeyFile reads one hex line of the expected byte length.

@@ -3,6 +3,7 @@ package provenance
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -209,5 +210,34 @@ func TestKeyFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadPublicKeyFile(privPath); err == nil {
 		t.Fatal("private key accepted as public key")
+	}
+}
+
+// TestKeyFileModes: a saved private key is owner-only (0600) even when it
+// replaces a world-readable file; the public key stays 0644.
+func TestKeyFileModes(t *testing.T) {
+	dir := t.TempDir()
+	pub, priv, err := GenerateKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	privPath, pubPath := filepath.Join(dir, "sign.key"), filepath.Join(dir, "sign.pub")
+	if err := os.WriteFile(privPath, []byte("stale\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := SavePrivateKeyFile(privPath, priv); err != nil {
+		t.Fatal(err)
+	}
+	if err := SavePublicKeyFile(pubPath, pub); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]os.FileMode{privPath: 0o600, pubPath: 0o644} {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := info.Mode().Perm(); got != want {
+			t.Fatalf("%s mode = %o, want %o", filepath.Base(path), got, want)
+		}
 	}
 }

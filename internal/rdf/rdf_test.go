@@ -41,7 +41,7 @@ func TestLocalName(t *testing.T) {
 }
 
 func TestNumericLiteral(t *testing.T) {
-	if !NewInteger(5).IsNumericLiteral() || !NewDouble(1.5).IsNumericLiteral() {
+	if !NewTypedLiteral("5", XSDInteger).IsNumericLiteral() || !NewDouble(1.5).IsNumericLiteral() {
 		t.Fatal("typed numbers should be numeric literals")
 	}
 	if NewLiteral("5").IsNumericLiteral() {
@@ -71,8 +71,8 @@ func buildTestGraph() *Graph {
 	g.Add(tri("http://m/1", RDFType, "http://d/Mun"))
 	g.Add(tri("http://m/2", RDFType, "http://d/Mun"))
 	g.Add(tri("http://r/1", RDFType, "http://d/Region"))
-	g.Add(Triple{S: NewIRI("http://m/1"), P: NewIRI("http://d/pop"), O: NewInteger(1000)})
-	g.Add(Triple{S: NewIRI("http://m/2"), P: NewIRI("http://d/pop"), O: NewInteger(2000)})
+	g.Add(Triple{S: NewIRI("http://m/1"), P: NewIRI("http://d/pop"), O: NewTypedLiteral("1000", XSDInteger)})
+	g.Add(Triple{S: NewIRI("http://m/2"), P: NewIRI("http://d/pop"), O: NewTypedLiteral("2000", XSDInteger)})
 	g.Add(tri("http://m/1", "http://d/inRegion", "http://r/1"))
 	g.Add(tri("http://m/2", "http://d/inRegion", "http://r/1"))
 	return g

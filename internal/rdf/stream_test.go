@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func randomGraph(seed int64, entities int) *Graph {
 			g.Add(Triple{S: s, P: typePred, O: classes[rng.Intn(len(classes))]})
 		}
 		if rng.Intn(10) > 1 {
-			g.Add(Triple{S: s, P: pop, O: NewInteger(int64(rng.Intn(100000)))})
+			g.Add(Triple{S: s, P: pop, O: NewTypedLiteral(strconv.Itoa(rng.Intn(100000)), XSDInteger)})
 		}
 		switch rng.Intn(4) {
 		case 0:

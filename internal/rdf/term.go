@@ -29,14 +29,10 @@ const (
 	XSDDecimal = "http://www.w3.org/2001/XMLSchema#decimal"
 	XSDDouble  = "http://www.w3.org/2001/XMLSchema#double"
 	XSDBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
-	XSDDate    = "http://www.w3.org/2001/XMLSchema#date"
 
-	RDFType    = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-	RDFSLabel  = "http://www.w3.org/2000/01/rdf-schema#label"
-	RDFSClass  = "http://www.w3.org/2000/01/rdf-schema#Class"
-	OWLSameAs  = "http://www.w3.org/2002/07/owl#sameAs"
-	DCTSource  = "http://purl.org/dc/terms/source"
-	DCTCreated = "http://purl.org/dc/terms/created"
+	RDFType   = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+	RDFSLabel = "http://www.w3.org/2000/01/rdf-schema#label"
+	OWLSameAs = "http://www.w3.org/2002/07/owl#sameAs"
 )
 
 // Term is an RDF term. Terms are value types and safe to copy; two terms
@@ -71,11 +67,6 @@ func NewTypedLiteral(lex, datatype string) Term {
 	return Term{Kind: Literal, Value: lex, Datatype: datatype}
 }
 
-// NewInteger returns an xsd:integer literal.
-func NewInteger(v int64) Term {
-	return NewTypedLiteral(fmt.Sprintf("%d", v), XSDInteger)
-}
-
 // NewDouble returns an xsd:double literal.
 func NewDouble(v float64) Term {
 	return NewTypedLiteral(fmt.Sprintf("%g", v), XSDDouble)
@@ -83,9 +74,6 @@ func NewDouble(v float64) Term {
 
 // IsIRI reports whether the term is an IRI.
 func (t Term) IsIRI() bool { return t.Kind == IRI }
-
-// IsBlank reports whether the term is a blank node.
-func (t Term) IsBlank() bool { return t.Kind == Blank }
 
 // IsLiteral reports whether the term is a literal.
 func (t Term) IsLiteral() bool { return t.Kind == Literal }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"openbi/internal/atomicfile"
 	"openbi/internal/loadgen"
 )
 
@@ -62,7 +63,10 @@ func Promote(dir, capturePath string, rep *Report) (goldenPath string, err error
 	sum := sha256.Sum256(raw)
 	pinned := filepath.Join(dir, filepath.Base(capturePath))
 	if pinned != capturePath {
-		if err := os.WriteFile(pinned, raw, 0o644); err != nil {
+		if err := atomicfile.Write(pinned, 0o644, func(f *os.File) error {
+			_, err := f.Write(raw)
+			return err
+		}); err != nil {
 			return "", fmt.Errorf("replay: pinning capture: %w", err)
 		}
 	}
@@ -74,17 +78,14 @@ func Promote(dir, capturePath string, rep *Report) (goldenPath string, err error
 		KB:             rep.TargetKB,
 	}
 	goldenPath = GoldenName(pinned)
-	f, err := os.Create(goldenPath)
-	if err != nil {
+	if err := atomicfile.Write(goldenPath, 0o644, func(f *os.File) error {
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", " ")
+		return enc.Encode(g)
+	}); err != nil {
 		return "", err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(g); err != nil {
-		f.Close()
-		return "", err
-	}
-	return goldenPath, f.Close()
+	return goldenPath, nil
 }
 
 // LoadGolden reads a promoted digest file.

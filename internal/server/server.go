@@ -288,13 +288,13 @@ func New(engine *core.Engine, opts ...Option) (*Server, error) {
 
 		manifestRequired: cfg.manifestRequired,
 		manifestKey:      cfg.manifestKey,
-		batchWindow:  cfg.batchWindow,
-		batchMax:     cfg.batchMax,
-		jobs:         make(chan *adviseJob, 4*cfg.batchMax),
-		done:         make(chan struct{}),
-		now:          cfg.now,
-		admission:    newAdmission(cfg.maxInflight, cfg.queueDepth, cfg.reqTimeout),
-		latency:      make(map[string]*hist.Histogram),
+		batchWindow:      cfg.batchWindow,
+		batchMax:         cfg.batchMax,
+		jobs:             make(chan *adviseJob, 4*cfg.batchMax),
+		done:             make(chan struct{}),
+		now:              cfg.now,
+		admission:        newAdmission(cfg.maxInflight, cfg.queueDepth, cfg.reqTimeout),
+		latency:          make(map[string]*hist.Histogram),
 	}
 	s.state.Store(&kbState{snap: engine.KB(), gen: 0, loadedAt: s.now(), source: "engine", manifest: cfg.manifest})
 	s.mux = s.routes()

@@ -203,18 +203,6 @@ func TestCategoricalZeroWeights(t *testing.T) {
 	}
 }
 
-func TestBootstrapBounds(t *testing.T) {
-	b := Bootstrap(NewRand(9), 50)
-	if len(b) != 50 {
-		t.Fatalf("bootstrap size = %d", len(b))
-	}
-	for _, v := range b {
-		if v < 0 || v >= 50 {
-			t.Fatalf("bootstrap index %d out of range", v)
-		}
-	}
-}
-
 func TestGaussianMoments(t *testing.T) {
 	rng := NewRand(11)
 	xs := make([]float64, 20000)

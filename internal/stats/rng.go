@@ -10,9 +10,6 @@ import "math/rand"
 // "controlled manner" of introducing data quality problems.
 func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// Perm fills a deterministic permutation of [0,n).
-func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }
-
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
 // [0,n). When k >= n it returns a full permutation.
 func SampleWithoutReplacement(rng *rand.Rand, n, k int) []int {
@@ -48,13 +45,4 @@ func Categorical(rng *rand.Rand, w []float64) int {
 		}
 	}
 	return len(w) - 1
-}
-
-// Bootstrap returns n indices drawn with replacement from [0,n).
-func Bootstrap(rng *rand.Rand, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = rng.Intn(n)
-	}
-	return out
 }

@@ -184,14 +184,6 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Spearman returns the Spearman rank correlation between xs and ys,
-// i.e. the Pearson correlation of their fractional ranks.
-func Spearman(xs, ys []float64) float64 {
-	rx := Ranks(xs)
-	ry := Ranks(ys)
-	return Pearson(rx, ry)
-}
-
 // Ranks returns the fractional (average-tie) ranks of xs. Missing entries
 // stay NaN and do not consume rank positions.
 func Ranks(xs []float64) []float64 {
@@ -222,37 +214,6 @@ func Ranks(xs []float64) []float64 {
 		i = j
 	}
 	return ranks
-}
-
-// Covariance returns the unbiased sample covariance of xs and ys over
-// pairwise-complete observations.
-func Covariance(xs, ys []float64) float64 {
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	var sx, sy float64
-	cnt := 0
-	for i := 0; i < n; i++ {
-		if IsMissing(xs[i]) || IsMissing(ys[i]) {
-			continue
-		}
-		sx += xs[i]
-		sy += ys[i]
-		cnt++
-	}
-	if cnt < 2 {
-		return math.NaN()
-	}
-	mx, my := sx/float64(cnt), sy/float64(cnt)
-	var s float64
-	for i := 0; i < n; i++ {
-		if IsMissing(xs[i]) || IsMissing(ys[i]) {
-			continue
-		}
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(cnt-1)
 }
 
 // Entropy returns the Shannon entropy, in bits, of a discrete distribution
@@ -375,64 +336,4 @@ func CramersV(table [][]int) float64 {
 		v = 0
 	}
 	return math.Sqrt(v)
-}
-
-// MutualInformation returns the mutual information, in bits, of the joint
-// distribution given as an r×c contingency table.
-func MutualInformation(table [][]int) float64 {
-	r := len(table)
-	if r == 0 {
-		return 0
-	}
-	c := len(table[0])
-	rowSum := make([]float64, r)
-	colSum := make([]float64, c)
-	total := 0.0
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			v := float64(table[i][j])
-			rowSum[i] += v
-			colSum[j] += v
-			total += v
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mi := 0.0
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			if table[i][j] == 0 {
-				continue
-			}
-			pxy := float64(table[i][j]) / total
-			px := rowSum[i] / total
-			py := colSum[j] / total
-			mi += pxy * math.Log2(pxy/(px*py))
-		}
-	}
-	if mi < 0 {
-		mi = 0
-	}
-	return mi
-}
-
-// Standardize returns (xs - mean) / stddev, preserving missing entries.
-// Columns with zero variance are centred only.
-func Standardize(xs []float64) []float64 {
-	m := Mean(xs)
-	sd := StdDev(xs)
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		if IsMissing(v) {
-			out[i] = math.NaN()
-			continue
-		}
-		if IsMissing(sd) || sd == 0 {
-			out[i] = v - m
-		} else {
-			out[i] = (v - m) / sd
-		}
-	}
-	return out
 }

@@ -78,10 +78,6 @@ func (c *Column) Len() int {
 	return len(c.Cats)
 }
 
-// Levels returns the dictionary of a nominal column in code order.
-// The returned slice must not be modified.
-func (c *Column) Levels() []string { return c.levels }
-
 // NumLevels returns the number of distinct categories interned so far.
 func (c *Column) NumLevels() int { return len(c.levels) }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Table is an in-memory columnar table: a named, ordered collection of
@@ -270,42 +269,6 @@ func (t *Table) DropColumn(name string) *Table {
 	return out
 }
 
-// AppendRows appends all rows of other, matching columns by name.
-// Columns present in t but absent in other receive missing cells; nominal
-// labels are re-interned so dictionaries need not agree.
-func (t *Table) AppendRows(other *Table) error {
-	for r := 0; r < other.NumRows(); r++ {
-		t.AppendEmptyRow()
-		last := t.NumRows() - 1
-		for j, c := range t.cols {
-			oj := other.ColumnIndex(c.Name)
-			if oj < 0 || other.IsMissing(r, oj) {
-				continue
-			}
-			oc := other.cols[oj]
-			if oc.Kind != c.Kind {
-				return fmt.Errorf("table %q: column %q kind mismatch on append", t.Name, c.Name)
-			}
-			if c.Kind == Numeric {
-				t.SetFloat(last, j, oc.Nums[r])
-			} else {
-				t.SetCat(last, j, c.Code(oc.Label(oc.Cats[r])))
-			}
-		}
-	}
-	return nil
-}
-
-// RowString renders row r as comma-separated cell strings (for debugging
-// and golden tests).
-func (t *Table) RowString(r int) string {
-	parts := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		parts[i] = c.CellString(r)
-	}
-	return strings.Join(parts, ",")
-}
-
 // MissingCells returns the total number of missing cells in the table.
 func (t *Table) MissingCells() int {
 	n := 0
@@ -345,21 +308,16 @@ const (
 	rowKeyNominal = 0x02
 )
 
-// RowKey returns a canonical string for row r used by duplicate detection.
-// Cells are encoded as typed (kind, value) tuples — nominal cells by
-// dictionary code, numeric cells rounded to 9 significant digits so that
-// float noise below that threshold still keys identically, missing cells
-// by a dedicated tag — so a label that happens to be "?" never collides
-// with a missing cell and labels may contain arbitrary bytes. Keys are
-// only comparable between rows of the same table (codes are per-table
-// dictionary state).
-func (t *Table) RowKey(r int) string {
-	return string(t.AppendRowKey(make([]byte, 0, 16*len(t.cols)), r))
-}
-
-// AppendRowKey appends row r's canonical key (see RowKey) to dst and
-// returns the extended slice. Hot callers reuse one buffer across rows and
-// look keys up with string(buf), so the per-row key costs no allocation.
+// AppendRowKey appends row r's canonical key, used by duplicate detection,
+// to dst and returns the extended slice. Cells are encoded as typed (kind,
+// value) tuples — nominal cells by dictionary code, numeric cells rounded
+// to 9 significant digits so that float noise below that threshold still
+// keys identically, missing cells by a dedicated tag — so a label that
+// happens to be "?" never collides with a missing cell and labels may
+// contain arbitrary bytes. Keys are only comparable between rows of the
+// same table (codes are per-table dictionary state). Hot callers reuse one
+// buffer across rows and look keys up with string(buf), so the per-row key
+// costs no allocation.
 func (t *Table) AppendRowKey(dst []byte, r int) []byte {
 	for _, c := range t.cols {
 		if c.IsMissing(r) {

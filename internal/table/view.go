@@ -17,13 +17,6 @@ type View struct {
 	cols []int // base column per view column; nil = all base columns
 }
 
-// NewView wraps t with the given row and column selections (either may be
-// nil, meaning identity). The slices are retained, not copied: callers must
-// not mutate them afterwards. Row and column indices may repeat.
-func NewView(t *Table, rows, cols []int) *View {
-	return &View{base: t, rows: rows, cols: cols}
-}
-
 // RowView returns a zero-copy view of a restricted to the given rows (in
 // order, repeats allowed). Views compose: taking a RowView of a View maps
 // the indices through the existing indirection, so chains of fold splits

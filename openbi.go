@@ -12,13 +12,12 @@
 //	advice, model, _ := adv.Advise(ctx, t, "class")   // Figure 2, right: "the best option is ALGORITHM X"
 //	result, _ := adv.MineWithAdvice(ctx, t, "class", base) // mine + share back as LOD
 //
-// The Engine's configuration is immutable after New (functional options
-// replace the old mutable fields), the knowledge base is served through
-// atomically-swapped immutable snapshots, and every pipeline entry point
-// takes a context.Context — so one populated Engine safely serves any
-// number of concurrent Advise/MineWithAdvice callers while experiments
-// re-run. Failures across the pipeline match the exported Err* sentinels
-// via errors.Is.
+// The Engine's configuration is immutable after New, the knowledge base is
+// served through atomically-swapped immutable snapshots, and every
+// pipeline entry point takes a context.Context — so one populated Engine
+// safely serves any number of concurrent Advisor sessions while
+// experiments re-run. Failures across the pipeline match the exported
+// Err* sentinels via errors.Is.
 //
 // The heavy lifting lives in internal packages (table, rdf, cwm, dq,
 // inject, clean, mining, eval, kb, experiment, olap, synth, report); this
@@ -84,12 +83,6 @@ func WithProgress(sink func(Event)) RunOption { return core.WithProgress(sink) }
 // resumes mid-grid instead of restarting. The final knowledge base is
 // byte-identical either way.
 func WithCheckpoint(dir string) RunOption { return core.WithCheckpoint(dir) }
-
-// NewEngine returns an Engine with an empty DQ4DM knowledge base.
-//
-// Deprecated: use New(WithSeed(seed)) and the WithFolds / WithWorkers
-// options instead of the removed mutable fields.
-func NewEngine(seed int64) *Engine { return core.NewEngine(seed) }
 
 // Re-exported model types.
 type (

@@ -76,7 +76,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 // TestPublicTypedErrors asserts the exported sentinels match failures
 // produced by the facade entry points.
 func TestPublicTypedErrors(t *testing.T) {
-	ctx := context.Background()
 	if _, err := New(WithFolds(0)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("WithFolds(0) err = %v, want ErrBadConfig", err)
 	}
@@ -91,9 +90,6 @@ func TestPublicTypedErrors(t *testing.T) {
 	ds, err := MakeClassification(ClassificationSpec{Rows: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, _, err := eng.Advise(ctx, ds.T, "class"); !errors.Is(err, ErrEmptyKB) {
-		t.Fatalf("empty-KB advise err = %v, want ErrEmptyKB", err)
 	}
 	if _, err := eng.Advisor(); !errors.Is(err, ErrEmptyKB) {
 		t.Fatalf("empty-KB advisor err = %v, want ErrEmptyKB", err)
