@@ -71,8 +71,9 @@ func parseNTriplesLine(line string) (Triple, error) {
 	return Triple{S: s, P: pr, O: o}, nil
 }
 
-// termParser is a shared cursor-based scanner used by both the N-Triples
-// and Turtle readers for the term grammar they have in common.
+// termParser is the cursor-based scanner for N-Triples terms. (Turtle has
+// its own tokenizer, tokenizeTurtleInto; the two share only the byte
+// classes and unescapeUnicode.)
 type termParser struct {
 	s   string
 	pos int

@@ -8,13 +8,14 @@ import (
 
 // Reference implementations the equivalence tests compare production code
 // against. They are deliberately naive — whole-document tokenization and
-// per-query scans over Graph.Triples() — so they share no chunking or
+// per-query scans over Graph.Triples() — so they share no buffering or
 // gathering logic with the code under test.
 
-// readTurtleWhole tokenizes the entire document in one piece and parses
-// it: the reference StreamTurtle's statement chunker must agree with.
+// readTurtleWhole tokenizes the entire document in one piece, with no
+// more input to follow, and parses it: the reference StreamTurtle's
+// read-by-read tokenizing and parsing must agree with.
 func readTurtleWhole(doc string) (*Graph, error) {
-	toks, err := tokenizeTurtleInto(nil, doc, 1)
+	toks, _, _, err := tokenizeTurtleInto(nil, doc, 1, false)
 	if err != nil {
 		return nil, fmt.Errorf("rdf: %w", err)
 	}

@@ -58,11 +58,12 @@ func FuzzStreamNTriples(f *testing.F) {
 	})
 }
 
-// FuzzStreamTurtle stresses the statement chunker: its state machine must
-// agree with the tokenizer run over the whole document about every '.' —
-// comments, IRIs, short/long strings, escapes, blank labels and decimals.
-// A disagreement shows up as an accept/reject or triple-set mismatch
-// against readTurtleWhole.
+// FuzzStreamTurtle checks the streaming decoder against readTurtleWhole,
+// reading each input whole and one byte at a time. One-byte reads make the
+// tokenizer pause at every byte offset — inside comments, IRIs, short and
+// long strings, escapes, blank labels and decimals — so a token that ends
+// differently when it is split across reads shows up as an accept/reject
+// or triple-set mismatch.
 func FuzzStreamTurtle(f *testing.F) {
 	seeds := []string{
 		"",
@@ -89,5 +90,8 @@ func FuzzStreamTurtle(f *testing.F) {
 		streamEquivalence(t, input,
 			readTurtleWhole,
 			func(s string, fn TripleFunc) error { return StreamTurtle(strings.NewReader(s), fn) })
+		streamEquivalence(t, input,
+			readTurtleWhole,
+			func(s string, fn TripleFunc) error { return StreamTurtle(&oneByteReader{data: []byte(s)}, fn) })
 	})
 }

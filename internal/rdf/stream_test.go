@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -105,7 +106,7 @@ func TestStreamNTriplesMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamTurtleMatchesBatch checks the chunker against the
+// TestStreamTurtleMatchesBatch checks the streaming decoder against the
 // whole-document reference (readTurtleWhole) on both the Turtle writer's
 // output (prefixes, ';'/',' abbreviation) and hand-written edge cases
 // targeting every place a '.' is not a statement terminator.
@@ -161,8 +162,8 @@ func TestStreamTurtleMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamTurtleSmallChunks forces tiny reads so every lookahead pause
-// in the chunker is exercised.
+// TestStreamTurtleSmallChunks forces one-byte reads so the tokenizer
+// pauses at every byte offset, inside every kind of token.
 func TestStreamTurtleSmallChunks(t *testing.T) {
 	doc := "@prefix ex: <http://ex.org/> .\nex:a ex:b \"\"\"x.\"\"\", 3.5, _:l.m ; ex:c ex:d .\n"
 	ref, err := readTurtleWhole(doc)
@@ -195,6 +196,51 @@ func (r *oneByteReader) Read(p []byte) (int, error) {
 	p[0] = r.data[r.pos]
 	r.pos++
 	return 1, nil
+}
+
+// TestStreamTurtleLongToken streams one long literal through small reads.
+// It must parse as in a whole-document read, and a token spanning many
+// reads must not be rescanned on each of them: rescanning per read would
+// allocate about 1000x the literal, while doubling the buffer before each
+// rescan keeps the total to a small multiple.
+func TestStreamTurtleLongToken(t *testing.T) {
+	literal := strings.Repeat("x. \"\n", 1<<20) // 5 MiB: dots, quotes, newlines
+	doc := "<http://a> <http://b> \"\"\"" + literal + "\"\"\" .\n"
+	ref, err := readTurtleWhole(doc)
+	if err != nil || ref.Len() != 1 {
+		t.Fatalf("reference: %d triples, err %v", ref.Len(), err)
+	}
+	var got []Triple
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = StreamTurtle(&cappedReader{r: strings.NewReader(doc), max: 1024}, func(tr Triple) error {
+		got = append(got, tr)
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !ref.Has(got[0]) {
+		t.Fatalf("streamed %d triples, want the reference's one", len(got))
+	}
+	if grown, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(literal)); grown > limit {
+		t.Fatalf("streaming a %d-byte literal allocated %d bytes (%.1fx), limit 64x",
+			len(literal), grown, float64(grown)/float64(len(literal)))
+	}
+}
+
+// cappedReader returns at most max bytes per Read.
+type cappedReader struct {
+	r   io.Reader
+	max int
+}
+
+func (c *cappedReader) Read(p []byte) (int, error) {
+	if len(p) > c.max {
+		p = p[:c.max]
+	}
+	return c.r.Read(p)
 }
 
 // TestStreamConsumerErrorPropagates checks that a TripleFunc error stops
@@ -247,8 +293,10 @@ func TestStreamSyntaxErrors(t *testing.T) {
 }
 
 // TestTurtleSyntaxErrorText pins the exact message, the ErrBadSyntax
-// match and SyntaxError.Line of Turtle failures, through both StreamTurtle
-// and ReadTurtle (line 0: the failure has no token to point at).
+// match and SyntaxError.Line of Turtle failures, through StreamTurtle on
+// whole and one-byte reads and through ReadTurtle (line 0: the failure has
+// no token to point at). Errors come out in document order: a parse error
+// in an early statement wins over a tokenizer error in a later one.
 func TestTurtleSyntaxErrorText(t *testing.T) {
 	cases := []struct {
 		doc  string
@@ -265,11 +313,14 @@ func TestTurtleSyntaxErrorText(t *testing.T) {
 		{"<http://a> <http://b> \"unterminated .", "rdf: turtle line 1: unterminated string literal", 1},
 		{"<http://a> <http://b> <http://c>", "rdf: turtle: missing '.' at end of input", 0},
 		{"@prefix <http://x> .", "rdf: turtle: @prefix expects 'name:'", 0},
+		{"foo:a <http://b> <http://c> .\n<http://a> <http://b> \"x\"^<http://dt> .",
+			`rdf: turtle line 1: undeclared prefix "foo"`, 1},
 	}
 	for _, c := range cases {
 		serr := StreamTurtle(strings.NewReader(c.doc), func(Triple) error { return nil })
+		berr := StreamTurtle(&oneByteReader{data: []byte(c.doc)}, func(Triple) error { return nil })
 		_, rerr := ReadTurtle(strings.NewReader(c.doc))
-		for _, err := range []error{serr, rerr} {
+		for _, err := range []error{serr, berr, rerr} {
 			if err == nil || err.Error() != c.want {
 				t.Fatalf("doc %q: err = %v, want %q", c.doc, err, c.want)
 			}

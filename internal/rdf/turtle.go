@@ -67,16 +67,37 @@ func turtleErr(line int, format string, args ...any) error {
 	return &oberr.SyntaxError{Format: "turtle", Line: line, Reason: fmt.Sprintf(format, args...)}
 }
 
+// turtleLexer is the input of one tokenizeTurtleInto call.
+type turtleLexer struct {
+	s    string
+	more bool // more input may follow s
+	cut  bool // the token in progress needs bytes past the end of s
+}
+
+// has reports whether s holds a byte at j. Every lookahead goes through
+// it: past the end of s, when more input may follow, it marks the token
+// in progress as cut, since the missing bytes could change how it ends.
+func (lx *turtleLexer) has(j int) bool {
+	if j < len(lx.s) {
+		return true
+	}
+	lx.cut = lx.cut || lx.more
+	return false
+}
+
 // tokenizeTurtleInto appends the tokens of s to dst (reusing its capacity)
-// with line numbers counted from startLine, so StreamTurtle can tokenize
-// one statement chunk at a time while keeping document line numbers in
-// errors.
-func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, error) {
-	toks := dst
-	line := startLine
-	i := 0
+// with line numbers counted from line. When more is set, s is a prefix of
+// the input: tokenizing stops at the first byte of a token that may go on
+// past s, and stop and stopLine say where to resume once more bytes are
+// buffered. Otherwise stop is len(s). With an error come the tokens before
+// it, so a caller can parse the statements that precede the error first.
+func tokenizeTurtleInto(dst []ttToken, s string, line int, more bool) (toks []ttToken, stop, stopLine int, err error) {
+	lx := &turtleLexer{s: s, more: more}
+	toks = dst
 	emit := func(k ttKind, v string) { toks = append(toks, ttToken{k, v, line}) }
+	i := 0
 	for i < len(s) {
+		start, startLine, n := i, line, len(toks)
 		c := s[i]
 		switch {
 		case c == '\n':
@@ -85,27 +106,32 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 		case c == ' ' || c == '\t' || c == '\r':
 			i++
 		case c == '#':
-			for i < len(s) && s[i] != '\n' {
+			for lx.has(i) && s[i] != '\n' {
 				i++
 			}
 		case c == '<':
-			j := strings.IndexByte(s[i:], '>')
-			if j < 0 {
-				return nil, turtleErr(line, "unterminated IRI")
+			j := i + 1
+			for lx.has(j) && s[j] != '>' {
+				j++
 			}
-			emit(ttIRI, unescapeUnicode(s[i+1:i+j]))
-			i += j + 1
+			if j == len(s) {
+				err = turtleErr(line, "unterminated IRI")
+				break
+			}
+			emit(ttIRI, unescapeUnicode(s[i+1:j]))
+			i = j + 1
 		case c == '"':
-			val, consumed, err := scanTurtleString(s[i:])
-			if err != nil {
-				return nil, turtleErr(line, "%v", err)
+			val, consumed, serr := lx.scanString(i)
+			if serr != nil {
+				err = turtleErr(line, "%v", serr)
+				break
 			}
 			line += strings.Count(s[i:i+consumed], "\n")
 			emit(ttString, val)
 			i += consumed
 		case c == '@':
 			j := i + 1
-			for j < len(s) && (isAlnumByte(s[j]) || s[j] == '-') {
+			for lx.has(j) && (isAlnumByte(s[j]) || s[j] == '-') {
 				j++
 			}
 			word := s[i+1 : j]
@@ -119,16 +145,16 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 			}
 			i = j
 		case c == '^':
-			if i+1 < len(s) && s[i+1] == '^' {
+			if lx.has(i+1) && s[i+1] == '^' {
 				emit(ttCaret, "")
 				i += 2
 			} else {
-				return nil, turtleErr(line, "stray '^'")
+				err = turtleErr(line, "stray '^'")
 			}
 		case c == '.':
 			// '.' may start a decimal like .5 — only when followed by a digit.
-			if i+1 < len(s) && s[i+1] >= '0' && s[i+1] <= '9' {
-				j, v := scanTurtleNumber(s, i)
+			if lx.has(i+1) && s[i+1] >= '0' && s[i+1] <= '9' {
+				j, v := lx.scanNumber(i)
 				emit(ttNumber, v)
 				i = j
 			} else {
@@ -141,9 +167,9 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 		case c == ',':
 			emit(ttComma, "")
 			i++
-		case c == '_' && i+1 < len(s) && s[i+1] == ':':
+		case c == '_' && lx.has(i+1) && s[i+1] == ':':
 			j := i + 2
-			for j < len(s) && isBlankLabelByte(s[j]) {
+			for lx.has(j) && isBlankLabelByte(s[j]) {
 				j++
 			}
 			// A trailing '.' belongs to the statement terminator, not the label.
@@ -151,28 +177,28 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 				j--
 			}
 			if j == i+2 {
-				return nil, turtleErr(line, "empty blank node label")
+				err = turtleErr(line, "empty blank node label")
+				break
 			}
 			emit(ttBlank, s[i+2:j])
 			i = j
 		case c == '+' || c == '-' || (c >= '0' && c <= '9'):
-			j, v := scanTurtleNumber(s, i)
+			j, v := lx.scanNumber(i)
 			emit(ttNumber, v)
 			i = j
 		default:
 			// Bare word: 'a', true/false, or a prefixed name.
 			j := i
-			for j < len(s) && !strings.ContainsRune(" \t\r\n;,.#<>\"^@", rune(s[j])) {
+			for lx.has(j) && !strings.ContainsRune(" \t\r\n;,.#<>\"^@", rune(s[j])) {
 				j++
 			}
 			// Statement-final '.' glued to a pname was excluded above; but a
 			// pname may legally contain dots internally (rare) — we stop at
 			// any '.', which the subset accepts.
 			word := s[i:j]
-			if word == "" {
-				return nil, turtleErr(line, "unexpected character %q", c)
-			}
 			switch word {
+			case "":
+				err = turtleErr(line, "unexpected character %q", c)
 			case "a":
 				emit(ttA, "")
 			case "true", "false":
@@ -183,35 +209,46 @@ func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, erro
 				emit(ttAtBase, "")
 			default:
 				if !strings.Contains(word, ":") {
-					return nil, turtleErr(line, "unexpected token %q", word)
+					err = turtleErr(line, "unexpected token %q", word)
+					break
 				}
 				emit(ttPName, word)
 			}
 			i = j
 		}
+		if lx.cut {
+			return toks[:n], start, startLine, nil
+		}
+		if err != nil {
+			return toks, start, startLine, err
+		}
 	}
-	return toks, nil
+	return toks, len(s), line, nil
 }
 
-// scanTurtleString scans a quoted literal starting at s[0]=='"', returning
-// the unescaped value and the number of bytes consumed. Both short ("...")
+// scanString scans a quoted literal starting at s[i]=='"', returning the
+// unescaped value and the number of bytes consumed. Both short ("...")
 // and long ("""...""") forms are handled.
-func scanTurtleString(s string) (string, int, error) {
-	long := strings.HasPrefix(s, `"""`)
-	var body strings.Builder
-	i := 1
-	if long {
-		i = 3
+func (lx *turtleLexer) scanString(i int) (string, int, error) {
+	s := lx.s
+	quote3 := func(k int) bool {
+		return s[k] == '"' && lx.has(k+1) && s[k+1] == '"' && lx.has(k+2) && s[k+2] == '"'
 	}
-	for i < len(s) {
-		if long && strings.HasPrefix(s[i:], `"""`) {
-			return body.String(), i + 3, nil
+	long := quote3(i)
+	var body strings.Builder
+	j := i + 1
+	if long {
+		j = i + 3
+	}
+	for lx.has(j) {
+		if long && quote3(j) {
+			return body.String(), j + 3 - i, nil
 		}
-		if !long && s[i] == '"' {
-			return body.String(), i + 1, nil
+		if !long && s[j] == '"' {
+			return body.String(), j + 1 - i, nil
 		}
-		if s[i] == '\\' && i+1 < len(s) {
-			switch s[i+1] {
+		if s[j] == '\\' && lx.has(j+1) {
+			switch s[j+1] {
 			case 't':
 				body.WriteByte('\t')
 			case 'n':
@@ -223,43 +260,44 @@ func scanTurtleString(s string) (string, int, error) {
 			case '\\':
 				body.WriteByte('\\')
 			default:
-				body.WriteByte(s[i+1])
+				body.WriteByte(s[j+1])
 			}
-			i += 2
+			j += 2
 			continue
 		}
-		if !long && s[i] == '\n' {
+		if !long && s[j] == '\n' {
 			return "", 0, fmt.Errorf("newline in short string literal")
 		}
-		body.WriteByte(s[i])
-		i++
+		body.WriteByte(s[j])
+		j++
 	}
 	return "", 0, fmt.Errorf("unterminated string literal")
 }
 
-// scanTurtleNumber scans a numeric literal at position i and returns the
-// end position and the lexical form.
-func scanTurtleNumber(s string, i int) (int, string) {
+// scanNumber scans a numeric literal at position i and returns the end
+// position and the lexical form.
+func (lx *turtleLexer) scanNumber(i int) (int, string) {
+	s := lx.s
 	j := i
-	if j < len(s) && (s[j] == '+' || s[j] == '-') {
+	if s[j] == '+' || s[j] == '-' {
 		j++
 	}
 	digits := func() {
-		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
+		for lx.has(j) && s[j] >= '0' && s[j] <= '9' {
 			j++
 		}
 	}
 	digits()
-	if j < len(s) && s[j] == '.' && j+1 < len(s) && s[j+1] >= '0' && s[j+1] <= '9' {
+	if lx.has(j) && s[j] == '.' && lx.has(j+1) && s[j+1] >= '0' && s[j+1] <= '9' {
 		j++
 		digits()
 	}
-	if j < len(s) && (s[j] == 'e' || s[j] == 'E') {
+	if lx.has(j) && (s[j] == 'e' || s[j] == 'E') {
 		k := j + 1
-		if k < len(s) && (s[k] == '+' || s[k] == '-') {
+		if lx.has(k) && (s[k] == '+' || s[k] == '-') {
 			k++
 		}
-		if k < len(s) && s[k] >= '0' && s[k] <= '9' {
+		if lx.has(k) && s[k] >= '0' && s[k] <= '9' {
 			j = k
 			digits()
 		}
@@ -274,7 +312,7 @@ type turtleParser struct {
 	base     string
 	// emit receives each parsed triple; a non-nil return aborts parsing.
 	// Prefixes and base persist across run() calls, so the streaming
-	// decoder can feed the parser one statement chunk at a time.
+	// decoder can feed the parser the complete statements of each read.
 	emit func(Triple) error
 }
 

@@ -6,6 +6,38 @@ import (
 	"testing"
 )
 
+// FuzzReadHTMLTable throws arbitrary markup at the HTML table reader: it
+// must never panic, and a table it accepts must have columns of equal
+// length.
+func FuzzReadHTMLTable(f *testing.F) {
+	seeds := []string{
+		"",
+		"<p>no table</p>",
+		"<table><tr><th>a</th><th>b</th></tr><tr><td>1</td><td>x</td></tr></table>",
+		"<TABLE><tr><th>Name<th>Len\n<tr><td><a href=\"#\">R&amp;D </a><td>5\n<tr><td>Ops<td>3</table>",
+		"<table><tr><td>1<td>2<td>3<tr><td>4</table>",   // ragged rows
+		"<table><tr><th>a</th></tr><tr><td>1</td></tr>", // unclosed table
+		"<table><tr><td>a<br>b</td></tr><tr><td>&nbsp;</td></tr><tr><td>",
+		"\xff\xff\xff\xff\xff<table><tr><th>a</th><th>b</th></tr><tr><td>1</td><td>2</td></tr></table>",
+		"\xc3<TaBlE><tr><th>\xff</th></tr><tr><td>\xe2\x82</td></tr></tAbLe>",
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb, err := ReadHTMLTable(bytes.NewReader(data), "fuzz")
+		if err != nil {
+			return
+		}
+		rows := tb.NumRows()
+		for _, col := range tb.Columns() {
+			if col.Len() != rows {
+				t.Fatalf("column %q has %d cells, table has %d rows", col.Name, col.Len(), rows)
+			}
+		}
+	})
+}
+
 // FuzzReadCSV throws arbitrary bytes at the CSV ingester and checks the
 // structural invariants every downstream consumer (dq, mining, olap)
 // relies on: rectangular columns, unique names, missing-mask consistency,

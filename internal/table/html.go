@@ -58,7 +58,7 @@ func ReadHTMLTable(r io.Reader, name string) (*Table, error) {
 // parseFirstHTMLTable scans markup and returns the cell text of the first
 // table, row-major, plus whether any <th> was seen.
 func parseFirstHTMLTable(doc string) ([][]string, bool, error) {
-	lower := strings.ToLower(doc)
+	lower := asciiLower(doc)
 	start := strings.Index(lower, "<table")
 	if start < 0 {
 		return nil, false, fmt.Errorf("table: html input has no <table>")
@@ -164,6 +164,19 @@ func parseFirstHTMLTable(doc string) ([][]string, bool, error) {
 		}
 	}
 	return out, hadTH, nil
+}
+
+// asciiLower lowercases the ASCII letters of s and leaves every other byte
+// alone, so offsets found in the result are valid in s. (strings.ToLower
+// turns each invalid UTF-8 byte into the 3-byte U+FFFD, shifting them.)
+func asciiLower(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 // cleanHTMLText collapses whitespace and decodes the entities that matter

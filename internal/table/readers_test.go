@@ -229,6 +229,20 @@ func TestReadHTMLFirstTableOnly(t *testing.T) {
 	}
 }
 
+// TestReadHTMLInvalidUTF8 is a regression test: invalid UTF-8 before the
+// table used to shift the tag offsets and panic with slice bounds out of
+// range.
+func TestReadHTMLInvalidUTF8(t *testing.T) {
+	in := "\xff\xff\xff\xff\xff<table><tr><th>a</th><th>b</th></tr><tr><td>1</td><td>2</td></tr></table>"
+	tb, err := ReadHTMLTable(strings.NewReader(in), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.NumRows() != 1 || tb.ColumnIndex("a") != 0 || tb.ColumnIndex("b") != 1 || tb.Float(0, 1) != 2 {
+		t.Fatalf("got %v with %d rows", tb.ColumnNames(), tb.NumRows())
+	}
+}
+
 func TestIsMissingToken(t *testing.T) {
 	for _, s := range []string{"", "?", "NA", " null ", "-"} {
 		if !IsMissingToken(s) {
