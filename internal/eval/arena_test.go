@@ -44,7 +44,7 @@ func TestSharedIndexArenaConcurrency(t *testing.T) {
 	ds := synth.MustMakeClassification(synth.ClassificationSpec{
 		Rows: 200, Seed: 21, Classes: 3, ClassBalance: 0.5,
 	})
-	ds.Index() // build eagerly, as prepareCells does; workers only read it
+	ds.Index() // build eagerly, as experiment cell preparation does; workers only read it
 	suite := mining.StandardSuite(5)
 	names := mining.SuiteNames()
 

@@ -195,7 +195,8 @@ func cellCoords(cfg Config) []cellCoord {
 // cell is one corrupted dataset shared by every algorithm — the paper's
 // method evaluates all techniques on the same prepared test datasets
 // (§3.1 step 2), which also lets the record carry the dq-measured severity
-// of the injected defect.
+// of the injected defect. Phase-1 sweep points and Phase-2 pairs are both
+// cells.
 //
 // Cells are the only materialization point of the grid: inject.Apply
 // copy-on-writes exactly the columns a defect touches, the clean cell is
@@ -204,65 +205,103 @@ func cellCoords(cfg Config) []cellCoord {
 // table is never mutated after construction, which is what makes sharing
 // it across the worker pool safe.
 type cell struct {
-	criterion dq.Criterion
-	severity  float64 // injected; 0 marks the clean cell
-	ds        *mining.Dataset
-	measured  float64            // measured severity of the injected criterion
-	measures  map[string]float64 // clean cell: measured severity per criterion
+	ds      *mining.Dataset
+	profile dq.Profile // dq-measured profile of ds; zero when the set does not measure
 }
 
-// prepareCells materializes the cells of cellCoords(cfg), honouring ctx
-// between cells. A non-nil need filter skips (leaves zero) cells no owned
-// task touches — shard runs corrupt only their slice of the grid. The
-// injection seed depends only on the cell's coordinates, so a cell's
-// content is identical no matter which process prepares it.
-func prepareCells(ctx context.Context, cfg Config, ds *mining.Dataset, need func(i int) bool) ([]cell, error) {
-	cleanProfile := dq.Measure(ds.Table(), dq.MeasureOptions{ClassColumn: ds.ClassCol})
-	cleanMeasures := map[string]float64{}
-	for _, c := range dq.AllCriteria() {
-		cleanMeasures[c.String()] = cleanProfile.Severity(c)
-	}
-	coords := cellCoords(cfg)
-	cells := make([]cell, len(coords))
-	cells[0] = cell{severity: 0, ds: ds, measures: cleanMeasures}
+// cellSpec is the recipe of one cell: the defects to inject and the
+// injection seed, which depends only on the cell's coordinates, so a
+// cell's content is identical no matter which task or process builds it.
+type cellSpec struct {
+	label string        // names the cell in errors
+	specs []inject.Spec // nil for the clean cell, which is the input dataset itself
+	seed  int64
+}
+
+// cellSet prepares a grid's cells on first use, inside the fan-out: the
+// first task that needs a cell builds it while the other workers go on
+// with their own tasks, every later task reads it, and a failed
+// preparation hands its error to every task that needs the cell. Only
+// cells whose tasks run are ever built, so a shard run corrupts just its
+// slice of the grid.
+type cellSet struct {
+	ds      *mining.Dataset
+	measure bool
+	specs   []cellSpec
+	slots   []cellSlot
+}
+
+type cellSlot struct {
+	once sync.Once
+	cell cell
+	err  error
+}
+
+func newCellSet(ds *mining.Dataset, specs []cellSpec, measure bool) *cellSet {
+	return &cellSet{ds: ds, measure: measure, specs: specs, slots: make([]cellSlot, len(specs))}
+}
+
+// phase1Cells is the cell set of coords, the grid's cellCoords(cfg).
+// Phase-1 records carry measured severities, so every cell is measured.
+func phase1Cells(cfg Config, ds *mining.Dataset, coords []cellCoord) *cellSet {
+	specs := make([]cellSpec, len(coords))
 	for i, co := range coords {
-		if i == 0 {
-			continue
+		if co.severity == 0 {
+			continue // the clean cell
 		}
-		if need != nil && !need(i) {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		seed := taskSeed(cfg.Seed, "inject", co.criterion.String(), fmt.Sprintf("%.3f", co.severity))
-		corrupted, err := inject.Apply(ds.T, ds.ClassCol,
-			[]inject.Spec{{Criterion: co.criterion, Severity: co.severity, Mechanism: cfg.Mechanism}}, seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: injecting %s@%.2f: %w", co.criterion, co.severity, err)
-		}
-		evalDS, err := mining.NewDataset(corrupted, ds.ClassCol)
-		if err != nil {
-			return nil, err
-		}
-		profile := dq.Measure(corrupted, dq.MeasureOptions{ClassColumn: ds.ClassCol})
-		cells[i] = cell{
-			criterion: co.criterion,
-			severity:  co.severity,
-			ds:        evalDS,
-			measured:  profile.Severity(co.criterion),
+		specs[i] = cellSpec{
+			label: fmt.Sprintf("%s@%.2f", co.criterion, co.severity),
+			specs: []inject.Spec{{Criterion: co.criterion, Severity: co.severity, Mechanism: cfg.Mechanism}},
+			seed:  taskSeed(cfg.Seed, "inject", co.criterion.String(), fmt.Sprintf("%.3f", co.severity)),
 		}
 	}
-	// Presort every cell's numeric columns before fanning tasks out: the
+	return newCellSet(ds, specs, true)
+}
+
+// phase2Cells is the cell set of the Phase-2 combos, each criterion
+// injected at severity. The seed does not depend on the algorithm, so all
+// algorithms share one table per combo. Only the additive prediction reads
+// the measured profile, so measure is false when there is none to make.
+func phase2Cells(cfg Config, ds *mining.Dataset, combos [][]dq.Criterion, severity float64, measure bool) *cellSet {
+	specs := make([]cellSpec, len(combos))
+	for i, combo := range combos {
+		name := comboString(combo)
+		sp := make([]inject.Spec, len(combo))
+		for j, c := range combo {
+			sp[j] = inject.Spec{Criterion: c, Severity: severity, Mechanism: cfg.Mechanism}
+		}
+		specs[i] = cellSpec{label: name, specs: sp, seed: taskSeed(cfg.Seed, "mix", name, fmt.Sprintf("%.3f", severity))}
+	}
+	return newCellSet(ds, specs, measure)
+}
+
+// get returns cell i, building it on first use.
+func (s *cellSet) get(i int) (cell, error) {
+	sl := &s.slots[i]
+	sl.once.Do(func() { sl.cell, sl.err = s.prepare(s.specs[i]) })
+	return sl.cell, sl.err
+}
+
+func (s *cellSet) prepare(sp cellSpec) (cell, error) {
+	ds := s.ds
+	if sp.specs != nil {
+		corrupted, err := inject.Apply(ds.T, ds.ClassCol, sp.specs, sp.seed)
+		if err != nil {
+			return cell{}, fmt.Errorf("experiment: injecting %s: %w", sp.label, err)
+		}
+		if ds, err = mining.NewDataset(corrupted, ds.ClassCol); err != nil {
+			return cell{}, err
+		}
+	}
+	c := cell{ds: ds}
+	if s.measure {
+		c.profile = dq.Measure(ds.Table(), dq.MeasureOptions{ClassColumn: ds.ClassCol})
+	}
+	// Presort the numeric columns before any task reads the cell: the
 	// index is shared by all fold splits, bootstrap resamples and forest
-	// members below a cell, and building it here means workers only ever
-	// read it.
-	for i := range cells {
-		if cells[i].ds != nil {
-			cells[i].ds.Index()
-		}
-	}
-	return cells, nil
+	// members below it, so workers only ever read it.
+	ds.Index()
+	return c, nil
 }
 
 // p1Task is one addressable unit of the Phase-1 grid: an algorithm
@@ -289,21 +328,31 @@ func p1Tasks(cfg Config, nCells int) []p1Task {
 // record — seeds, folds, measured severities — derives from the task's
 // coordinates, never from execution order, which is what makes sharded and
 // resumed runs byte-identical to monolithic ones.
-func runP1Task(cfg Config, cells []cell, datasetName string, tk p1Task, arena *mining.Arena) (kb.Record, error) {
-	cl := cells[tk.cell]
-	rec := kb.Record{
-		Algorithm:        tk.algorithm,
-		Criterion:        "clean",
-		Severity:         cl.severity,
-		MeasuredSeverity: cl.measured,
-		MeasuredAll:      cl.measures,
-		Dataset:          datasetName,
-		Folds:            cfg.Folds,
+func runP1Task(cfg Config, coords []cellCoord, cells *cellSet, datasetName string, tk p1Task, arena *mining.Arena) (kb.Record, error) {
+	cl, err := cells.get(tk.cell)
+	if err != nil {
+		return kb.Record{}, err
 	}
-	if cl.severity > 0 {
-		rec.Criterion = cl.criterion.String()
-		if cl.criterion == dq.Completeness {
+	co := coords[tk.cell]
+	rec := kb.Record{
+		Algorithm: tk.algorithm,
+		Criterion: "clean",
+		Severity:  co.severity,
+		Dataset:   datasetName,
+		Folds:     cfg.Folds,
+	}
+	if co.severity > 0 {
+		rec.Criterion = co.criterion.String()
+		rec.MeasuredSeverity = cl.profile.Severity(co.criterion)
+		if co.criterion == dq.Completeness {
 			rec.Mechanism = cfg.Mechanism.String()
+		}
+	} else {
+		// The clean record anchors the advisor's curves with the clean
+		// data's measured severity of every criterion.
+		rec.MeasuredAll = map[string]float64{}
+		for _, c := range dq.AllCriteria() {
+			rec.MeasuredAll[c.String()] = cl.profile.Severity(c)
 		}
 	}
 	cvSeed := taskSeed(cfg.Seed, "cv", tk.algorithm, rec.Criterion, fmt.Sprintf("%.3f", rec.Severity))
@@ -320,7 +369,10 @@ func runP1Task(cfg Config, cells []cell, datasetName string, tk p1Task, arena *m
 // worker goroutines, honouring ctx between cells: when ctx is done,
 // running cells finish, no new cell starts, and runGrid returns
 // ctx.Err(). Otherwise the first non-nil fn error (in task order) is
-// returned.
+// returned. Once a task fails no new task is handed out, so a failing
+// grid stops early; tasks are handed out in order, so every task before
+// the failed one still runs and the error returned is the one a full run
+// would return.
 //
 // Unlike a goroutine-per-task design, the fixed pool gives every task a
 // stable worker identity in [0, workers) — the hook that lets callers key
@@ -333,14 +385,16 @@ func runGrid(ctx context.Context, workers, n int, fn func(i, worker int) error) 
 	if workers < 1 {
 		workers = 1
 	}
+	stop, failed := context.WithCancel(ctx)
+	defer failed()
 	errs := make([]error, n)
 	tasks := make(chan int)
 	go func() {
 		defer close(tasks)
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && stop.Err() == nil; i++ {
 			select {
 			case tasks <- i:
-			case <-ctx.Done():
+			case <-stop.Done():
 				return
 			}
 		}
@@ -354,7 +408,9 @@ func runGrid(ctx context.Context, workers, n int, fn func(i, worker int) error) 
 				if ctx.Err() != nil {
 					return
 				}
-				errs[i] = fn(i, w)
+				if errs[i] = fn(i, w); errs[i] != nil {
+					failed()
+				}
 			}
 		}(w)
 	}
@@ -394,16 +450,14 @@ func Phase1(ctx context.Context, cfg Config, ds *mining.Dataset, datasetName str
 		ctx = context.Background()
 	}
 	cfg.applyDefaults()
-	cells, err := prepareCells(ctx, cfg, ds, nil)
-	if err != nil {
-		return nil, err
-	}
-	tasks := p1Tasks(cfg, len(cells))
+	coords := cellCoords(cfg)
+	cells := phase1Cells(cfg, ds, coords)
+	tasks := p1Tasks(cfg, len(coords))
 	prog := newProgress(cfg.Progress, 1, len(tasks), datasetName)
 	records := make([]kb.Record, len(tasks))
 	arenas := workerArenas(cfg.Workers)
-	err = runGrid(ctx, cfg.Workers, len(tasks), func(i, w int) error {
-		rec, err := runP1Task(cfg, cells, datasetName, tasks[i], arenas[w])
+	err := runGrid(ctx, cfg.Workers, len(tasks), func(i, w int) error {
+		rec, err := runP1Task(cfg, coords, cells, datasetName, tasks[i], arenas[w])
 		if err != nil {
 			return err
 		}
@@ -442,6 +496,7 @@ func (m MixedResult) Interaction() float64 {
 type p2Task struct {
 	algorithm string
 	combo     []dq.Criterion
+	cell      int // index into the combos, and so into phase2Cells
 }
 
 // p2Tasks enumerates the Phase-2 grid in canonical (algorithm-major, combo
@@ -449,37 +504,29 @@ type p2Task struct {
 func p2Tasks(cfg Config, combos [][]dq.Criterion) []p2Task {
 	tasks := make([]p2Task, 0, len(cfg.Algorithms)*len(combos))
 	for _, alg := range cfg.AlgorithmNames() {
-		for _, combo := range combos {
-			tasks = append(tasks, p2Task{algorithm: alg, combo: combo})
+		for c, combo := range combos {
+			tasks = append(tasks, p2Task{algorithm: alg, combo: combo, cell: c})
 		}
 	}
 	return tasks
 }
 
-// runP2Task executes one Phase-2 grid cell: inject the combination, mine,
-// and compare against the additive prediction read from base. Like
-// runP1Task, the record depends only on the task's coordinates; only the
-// MixedResult's PredictedKappa depends on base, so shard runs (which lack
-// the full Phase-1 snapshot) pass a nil base — the record is byte-identical
-// and the profile measurement that only feeds the prediction is skipped.
-func runP2Task(cfg Config, ds *mining.Dataset, datasetName string, base *kb.Snapshot,
+// runP2Task executes one Phase-2 grid cell: mine the combination's
+// prepared cell and compare against the additive prediction read from
+// base. Like runP1Task, the record depends only on the task's coordinates;
+// only the MixedResult's PredictedKappa depends on base, so shard runs
+// (which lack the full Phase-1 snapshot) pass a nil base and a cell set
+// that skips the profile measurement only the prediction reads — the
+// record is byte-identical.
+func runP2Task(cfg Config, cells *cellSet, datasetName string, base *kb.Snapshot,
 	severity float64, tk p2Task, arena *mining.Arena) (MixedResult, kb.Record, error) {
-	comboName := comboString(tk.combo)
-	specs := make([]inject.Spec, len(tk.combo))
-	for j, c := range tk.combo {
-		specs[j] = inject.Spec{Criterion: c, Severity: severity, Mechanism: cfg.Mechanism}
-	}
-	seed := taskSeed(cfg.Seed, "mix", comboName, fmt.Sprintf("%.3f", severity))
-	corrupted, err := inject.Apply(ds.T, ds.ClassCol, specs, seed)
-	if err != nil {
-		return MixedResult{}, kb.Record{}, fmt.Errorf("experiment: injecting %s: %w", comboName, err)
-	}
-	evalDS, err := mining.NewDataset(corrupted, ds.ClassCol)
+	cl, err := cells.get(tk.cell)
 	if err != nil {
 		return MixedResult{}, kb.Record{}, err
 	}
+	comboName := comboString(tk.combo)
 	cvSeed := taskSeed(cfg.Seed, "mixcv", tk.algorithm, comboName, fmt.Sprintf("%.3f", severity))
-	m, err := eval.CrossValidateWith(cfg.Algorithms[tk.algorithm], evalDS, cfg.Folds, cvSeed, arena)
+	m, err := eval.CrossValidateWith(cfg.Algorithms[tk.algorithm], cl.ds, cfg.Folds, cvSeed, arena)
 	if err != nil {
 		return MixedResult{}, kb.Record{}, fmt.Errorf("experiment: %s on %s: %w", tk.algorithm, comboName, err)
 	}
@@ -492,8 +539,7 @@ func runP2Task(cfg Config, ds *mining.Dataset, datasetName string, base *kb.Snap
 	if base != nil {
 		// Predictions use the measured profile of the mixed data — exactly
 		// the coordinates the advisor sees in production.
-		severities := dq.Measure(corrupted, dq.MeasureOptions{ClassColumn: ds.ClassCol}).Severities()
-		res.PredictedKappa = base.PredictKappa(tk.algorithm, severities)
+		res.PredictedKappa = base.PredictKappa(tk.algorithm, cl.profile.Severities())
 	}
 	rec := kb.Record{
 		Algorithm: tk.algorithm,
@@ -519,13 +565,14 @@ func Phase2(ctx context.Context, cfg Config, ds *mining.Dataset, datasetName str
 		ctx = context.Background()
 	}
 	cfg.applyDefaults()
+	cells := phase2Cells(cfg, ds, combos, severity, base != nil)
 	tasks := p2Tasks(cfg, combos)
 	prog := newProgress(cfg.Progress, 2, len(tasks), datasetName)
 	results := make([]MixedResult, len(tasks))
 	records := make([]kb.Record, len(tasks))
 	arenas := workerArenas(cfg.Workers)
 	err := runGrid(ctx, cfg.Workers, len(tasks), func(i, w int) error {
-		res, rec, err := runP2Task(cfg, ds, datasetName, base, severity, tasks[i], arenas[w])
+		res, rec, err := runP2Task(cfg, cells, datasetName, base, severity, tasks[i], arenas[w])
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,8 @@ package experiment
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -103,6 +105,104 @@ func TestPhase1DeterministicAcrossWorkers(t *testing.T) {
 			a[i].Metrics != b[i].Metrics {
 			t.Fatalf("parallelism changed results at %d:\n%+v\n%+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestPhase2DeterministicAcrossWorkers: Phase-2 pairs are cells shared by
+// every algorithm, built by whichever worker reaches them first; neither
+// the mixed results nor the records may depend on which one that was.
+func TestPhase2DeterministicAcrossWorkers(t *testing.T) {
+	ds := fixture()
+	p1, err := Phase1(context.Background(), smallCfg(7), ds, "unit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := (&kb.KnowledgeBase{Records: p1}).Snapshot()
+	combos := DefaultCombos([]dq.Criterion{dq.LabelNoise, dq.Completeness, dq.Imbalance})
+	run := func(workers int) ([]MixedResult, []kb.Record) {
+		cfg := smallCfg(7)
+		cfg.Workers = workers
+		mixed, recs, err := Phase2(context.Background(), cfg, ds, "unit", snap, combos, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mixed, recs
+	}
+	m1, r1 := run(1)
+	m4, r4 := run(4)
+	if len(r1) != 2*len(combos) {
+		t.Fatalf("records = %d, want %d", len(r1), 2*len(combos))
+	}
+	if !reflect.DeepEqual(m1, m4) {
+		t.Fatalf("parallelism changed mixed results:\n%+v\n%+v", m1, m4)
+	}
+	if !reflect.DeepEqual(r1, r4) {
+		t.Fatalf("parallelism changed records:\n%+v\n%+v", r1, r4)
+	}
+}
+
+// TestCellErrorReachesEveryTask: a cell whose injection fails is built
+// once, every task that needs it returns that one error, and the phase
+// returns no records.
+func TestCellErrorReachesEveryTask(t *testing.T) {
+	ds := fixture()
+	bad := dq.Criterion(99) // inject.Apply rejects it as unsupported
+	cfg := smallCfg(8)
+	cfg.Workers = 4
+	cfg.Criteria = []dq.Criterion{dq.LabelNoise, bad}
+	cfg.applyDefaults()
+
+	recs, err := Phase1(context.Background(), cfg, ds, "unit")
+	if err == nil || recs != nil {
+		t.Fatalf("Phase1 = %d records, err %v; want no records and an error", len(recs), err)
+	}
+	coords := cellCoords(cfg)
+	cells := phase1Cells(cfg, ds, coords)
+	cellErr := map[int]error{} // the first error each failed cell returned
+	failed := 0
+	for _, tk := range p1Tasks(cfg, len(coords)) {
+		_, err := runP1Task(cfg, coords, cells, "unit", tk, nil)
+		if coords[tk.cell].criterion != bad || coords[tk.cell].severity == 0 {
+			if err != nil {
+				t.Fatalf("task on a good cell failed: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("task %+v on the failed cell returned no error", tk)
+		}
+		if first, ok := cellErr[tk.cell]; ok && err != first {
+			t.Fatalf("the failed cell's tasks returned different errors: %v vs %v", first, err)
+		}
+		cellErr[tk.cell] = err
+		failed++
+	}
+	if want := 2 * 2; failed != want || len(cellErr) != 2 { // 2 algorithms × 2 non-zero severities
+		t.Fatalf("%d tasks on %d failed cells, want %d on 2", failed, len(cellErr), want)
+	}
+	if !strings.Contains(err.Error(), "unsupported criterion") {
+		t.Fatalf("Phase1 error %q does not name the injection failure", err)
+	}
+
+	combos := [][]dq.Criterion{{dq.LabelNoise, dq.Completeness}, {dq.LabelNoise, bad}}
+	mixed, p2, err := Phase2(context.Background(), cfg, ds, "unit", nil, combos, 0.3)
+	if err == nil || mixed != nil || p2 != nil {
+		t.Fatalf("Phase2 = %d results, %d records, err %v; want none and an error", len(mixed), len(p2), err)
+	}
+	cells2 := phase2Cells(cfg, ds, combos, 0.3, false)
+	var first error
+	for _, tk := range p2Tasks(cfg, combos) {
+		_, _, err := runP2Task(cfg, cells2, "unit", nil, 0.3, tk, nil)
+		if tk.cell == 0 {
+			if err != nil {
+				t.Fatalf("task on the good pair failed: %v", err)
+			}
+			continue
+		}
+		if err == nil || (first != nil && err != first) {
+			t.Fatalf("task %+v on the failed pair returned %v, want the cell's error %v", tk, err, first)
+		}
+		first = err
 	}
 }
 
@@ -336,5 +436,34 @@ func TestValidateCancellation(t *testing.T) {
 	cancel()
 	if _, err := Validate(ctx, cfg, ds, base.Snapshot(), 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunGridStopsAfterAFailure: once a task fails no new task starts, yet
+// the error returned is still the first in task order — task 10's, though
+// task 10 waits until task 11 has failed.
+func TestRunGridStopsAfterAFailure(t *testing.T) {
+	const n, workers = 100, 2
+	var ran atomic.Int64
+	eleven := make(chan struct{})
+	err := runGrid(context.Background(), workers, n, func(i, _ int) error {
+		ran.Add(1)
+		switch i {
+		case 10:
+			<-eleven
+			return errors.New("task 10")
+		case 11:
+			close(eleven)
+			return errors.New("task 11")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "task 10" {
+		t.Fatalf("runGrid = %v, want task 10's error", err)
+	}
+	// Tasks 0-11 run; after the first failure at most one task more per
+	// worker, plus one the dispatcher may already be handing out.
+	if got := ran.Load(); got < 12 || got > 12+workers+1 {
+		t.Fatalf("%d tasks ran, want 12 to %d", got, 12+workers+1)
 	}
 }

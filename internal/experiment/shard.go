@@ -180,11 +180,11 @@ func DatasetContentHash(ds *mining.Dataset) string {
 
 // runShardPhase runs one phase of a shard: replay every journaled cell of
 // the owned task indices as a Restored progress event, then execute the
-// rest through prepare's task runner, journaling each completion before it
-// is reported. prepare is only called when something actually executes, so
-// a fully-replayed phase does no dataset work at all.
+// rest through exec, journaling each completion before it is reported.
+// exec draws on a lazily prepared cell set, so a fully-replayed phase does
+// no dataset work at all.
 func runShardPhase(ctx context.Context, cfg Config, ck *checkpoint, phase int, owned []int, datasetName string,
-	prepare func(taskIdx []int) (func(ti int, arena *mining.Arena) (kb.Record, error), error)) ([]kb.Record, error) {
+	exec func(ti int, arena *mining.Arena) (kb.Record, error)) ([]kb.Record, error) {
 	out := make([]kb.Record, len(owned))
 	prog := newProgress(cfg.Progress, phase, len(owned), datasetName)
 	var todo []int // positions in owned still to execute
@@ -199,16 +199,8 @@ func runShardPhase(ctx context.Context, cfg Config, ck *checkpoint, phase int, o
 	if len(todo) == 0 {
 		return out, nil
 	}
-	taskIdx := make([]int, len(todo))
-	for k, j := range todo {
-		taskIdx[k] = owned[j]
-	}
-	exec, err := prepare(taskIdx)
-	if err != nil {
-		return nil, err
-	}
 	arenas := workerArenas(cfg.Workers)
-	err = runGrid(ctx, cfg.Workers, len(todo), func(k, w int) error {
+	err := runGrid(ctx, cfg.Workers, len(todo), func(k, w int) error {
 		j := todo[k]
 		ti := owned[j]
 		rec, err := exec(ti, arenas[w])
@@ -290,33 +282,23 @@ func RunShard(ctx context.Context, cfg Config, ds *mining.Dataset, datasetName s
 	}
 
 	// Phase 1: replay journaled cells, execute the rest. Cells are only
-	// materialized for tasks that actually execute.
-	out1, err := runShardPhase(ctx, cfg, ck, 1, own1, datasetName, func(taskIdx []int) (func(ti int, arena *mining.Arena) (kb.Record, error), error) {
-		need := map[int]bool{}
-		for _, ti := range taskIdx {
-			need[t1[ti].cell] = true
-		}
-		cells, err := prepareCells(ctx, cfg, ds, func(i int) bool { return need[i] })
-		if err != nil {
-			return nil, err
-		}
-		return func(ti int, arena *mining.Arena) (kb.Record, error) {
-			return runP1Task(cfg, cells, datasetName, t1[ti], arena)
-		}, nil
+	// built for tasks that actually execute.
+	cells1 := phase1Cells(cfg, ds, coords)
+	out1, err := runShardPhase(ctx, cfg, ck, 1, own1, datasetName, func(ti int, arena *mining.Arena) (kb.Record, error) {
+		return runP1Task(cfg, coords, cells1, datasetName, t1[ti], arena)
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Phase 2: same replay/execute split. Records never depend on the
-	// Phase-1 snapshot, so a nil base is correct here — it also skips the
-	// per-cell profile measurement that only feeds the discarded
-	// prediction (see the note in the function comment).
-	out2, err := runShardPhase(ctx, cfg, ck, 2, own2, datasetName, func([]int) (func(ti int, arena *mining.Arena) (kb.Record, error), error) {
-		return func(ti int, arena *mining.Arena) (kb.Record, error) {
-			_, rec, err := runP2Task(cfg, ds, datasetName, nil, run.MixedSeverity, t2[ti], arena)
-			return rec, err
-		}, nil
+	// Phase-1 snapshot, so a nil base is correct here — and the cells skip
+	// the profile measurement that only feeds the discarded prediction
+	// (see the note in the function comment).
+	cells2 := phase2Cells(cfg, ds, run.Combos, run.MixedSeverity, false)
+	out2, err := runShardPhase(ctx, cfg, ck, 2, own2, datasetName, func(ti int, arena *mining.Arena) (kb.Record, error) {
+		_, rec, err := runP2Task(cfg, cells2, datasetName, nil, run.MixedSeverity, t2[ti], arena)
+		return rec, err
 	})
 	if err != nil {
 		return nil, err

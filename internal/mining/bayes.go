@@ -30,7 +30,8 @@ type NaiveBayes struct {
 	// llBuf is the per-row log-likelihood scratch; logLikelihoods
 	// overwrites every entry before returning it, and both callers consume
 	// the slice before the next call, so one buffer serves all predictions.
-	llBuf []float64
+	llBuf  []float64
+	scored scoredRow // the row llBuf holds
 }
 
 // UseArena implements ArenaUser.
@@ -44,6 +45,7 @@ func (nb *NaiveBayes) Name() string { return "naive-bayes" }
 
 // Fit estimates priors and per-attribute conditional distributions.
 func (nb *NaiveBayes) Fit(ds *Dataset) error {
+	nb.scored.reset()
 	labeled := ds.LabeledRows()
 	if len(labeled) == 0 {
 		return fmt.Errorf("naive-bayes: no labeled instances")
@@ -139,9 +141,13 @@ func (nb *NaiveBayes) Fit(ds *Dataset) error {
 }
 
 // logLikelihoods returns unnormalized log P(class, x). The returned slice
-// is nb.llBuf: valid until the next call on nb.
+// is nb.llBuf: valid until the next call on nb. Asked again for the row it
+// last scored, it returns the held values.
 func (nb *NaiveBayes) logLikelihoods(ds *Dataset, r int) []float64 {
 	ll := nb.llBuf
+	if nb.scored.holds(ds, r) {
+		return ll
+	}
 	if len(ll) != nb.classes {
 		ll = make([]float64, nb.classes)
 		nb.llBuf = ll
@@ -179,6 +185,7 @@ func (nb *NaiveBayes) logLikelihoods(ds *Dataset, r int) []float64 {
 			ll[c] += -0.5*d*d - math.Log(sd[c]) - 0.5*math.Log(2*math.Pi)
 		}
 	}
+	nb.scored.set(ds, r)
 	return ll
 }
 

@@ -263,13 +263,37 @@ type Classifier interface {
 }
 
 // ProbClassifier is implemented by classifiers that can emit a class
-// probability distribution (needed for AUC).
+// probability distribution (needed for AUC). Evaluation calls Predict and
+// then Proba on the same test row; KNN, RandomForest, Logistic and
+// NaiveBayes keep the scores of the last row they scored, so that second
+// call costs only the copy of the distribution.
 type ProbClassifier interface {
 	Classifier
 	// Proba returns P(class=c | x) for each class code; the slice sums
 	// to 1 (up to rounding).
 	Proba(ds *Dataset, r int) []float64
 }
+
+// scoredRow records which (dataset, row) a classifier's score scratch
+// holds, so Proba right after Predict on the same row reuses the scores
+// instead of computing them again. The key is the Dataset pointer, not
+// just the row index: fold views and resamples number their rows from 0,
+// so one index names different instances in different datasets. Reuse is
+// sound because a Dataset's backing data is read-only (see Dataset.T);
+// Fit must call reset, since refitting changes every score.
+type scoredRow struct {
+	ds *Dataset
+	r  int
+}
+
+// holds reports whether the scratch holds the scores of row r of ds.
+func (s *scoredRow) holds(ds *Dataset, r int) bool { return s.ds == ds && s.r == r }
+
+// set records that the scratch now holds the scores of row r of ds.
+func (s *scoredRow) set(ds *Dataset, r int) { s.ds, s.r = ds, r }
+
+// reset forgets the held row.
+func (s *scoredRow) reset() { *s = scoredRow{} }
 
 // Factory builds a fresh, unfitted classifier; cross-validation calls it
 // once per fold so no state leaks between folds.

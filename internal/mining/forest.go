@@ -26,6 +26,7 @@ type RandomForest struct {
 	fallback int
 	arena    *Arena
 	votesBuf []float64
+	scored   scoredRow // the row votesBuf holds
 }
 
 // UseArena implements ArenaUser: bootstrap row samples and the member
@@ -43,6 +44,7 @@ func (rf *RandomForest) Name() string { return "random-forest" }
 
 // Fit grows the ensemble.
 func (rf *RandomForest) Fit(ds *Dataset) error {
+	rf.scored.reset()
 	labeled := ds.LabeledRows()
 	if len(labeled) == 0 {
 		return fmt.Errorf("random-forest: no labeled instances")
@@ -91,9 +93,13 @@ func (rf *RandomForest) Fit(ds *Dataset) error {
 // votes accumulates the member probability mass for row r into the reused
 // vote buffer (valid until the next call on rf). Each member contributes
 // its reached leaf's normalized class distribution — the same values its
-// Proba copy carried, accumulated without materializing the copy.
+// Proba copy carried, accumulated without materializing the copy. Asked
+// again for the row it last scored, it returns the held votes.
 func (rf *RandomForest) votes(ds *Dataset, r int) []float64 {
 	out := rf.votesBuf
+	if rf.scored.holds(ds, r) {
+		return out
+	}
 	if len(out) != rf.classes {
 		out = make([]float64, rf.classes)
 		rf.votesBuf = out
@@ -122,6 +128,7 @@ func (rf *RandomForest) votes(ds *Dataset, r int) []float64 {
 			}
 		}
 	}
+	rf.scored.set(ds, r)
 	return out
 }
 

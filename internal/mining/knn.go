@@ -22,7 +22,8 @@ import (
 // exactly the behaviour of the historical insertion-into-sorted-slice
 // implementation for every k <= 12 the suite uses.
 type KNN struct {
-	// K is the neighbourhood size (default 5).
+	// K is the neighbourhood size (default 5). Like Weighted, set it
+	// before Fit: Proba may reuse the votes Predict computed for a row.
 	K int
 	// Weighted applies 1/(d+eps) distance weighting to votes.
 	Weighted bool
@@ -40,6 +41,7 @@ type KNN struct {
 	distBuf  []float64
 	heapBuf  []knnCand
 	votesBuf []float64
+	scored   scoredRow // the row votesBuf holds
 }
 
 // knnAttr is one training attribute gathered into dense candidate-major
@@ -78,6 +80,7 @@ func (kn *KNN) k() int {
 // Fit memorizes the training data, its numeric ranges, and gathers every
 // attribute into a dense per-candidate vector for the distance kernel.
 func (kn *KNN) Fit(ds *Dataset) error {
+	kn.scored.reset()
 	labeled := ds.LabeledRows()
 	if len(labeled) == 0 {
 		return fmt.Errorf("knn: no labeled instances")
@@ -241,9 +244,13 @@ func siftDown(h []knnCand, i int) {
 
 // neighbourVotes returns per-class vote mass for row r of ds. The returned
 // slice is scratch owned by the classifier; callers must not retain it.
+// Asked again for the row it last scored, it returns the held votes.
 func (kn *KNN) neighbourVotes(ds *Dataset, r int) []float64 {
-	best := kn.nearest(kn.distances(ds, r))
 	nc := kn.train.NumClasses()
+	if kn.scored.holds(ds, r) {
+		return kn.votesBuf[:nc]
+	}
+	best := kn.nearest(kn.distances(ds, r))
 	if cap(kn.votesBuf) < nc {
 		kn.votesBuf = make([]float64, nc)
 	}
@@ -258,6 +265,7 @@ func (kn *KNN) neighbourVotes(ds *Dataset, r int) []float64 {
 		}
 		votes[kn.train.Label(kn.labeled[nb.seq])] += w
 	}
+	kn.scored.set(ds, r)
 	return votes
 }
 

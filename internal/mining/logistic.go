@@ -41,6 +41,7 @@ type Logistic struct {
 	scoreBuf []float64
 	xIdx     []int
 	xVal     []float64
+	scored   scoredRow // the row scoreBuf holds; SGD reuses the buffer, so Fit resets it
 }
 
 // UseArena implements ArenaUser.
@@ -64,6 +65,7 @@ func (lg *Logistic) Name() string { return "logistic" }
 
 // Fit trains by SGD on the labeled rows.
 func (lg *Logistic) Fit(ds *Dataset) error {
+	lg.scored.reset()
 	labeled := ds.LabeledRows()
 	if len(labeled) == 0 {
 		return fmt.Errorf("logistic: no labeled instances")
@@ -246,8 +248,14 @@ func (lg *Logistic) Proba(ds *Dataset, r int) []float64 {
 }
 
 // predictScores encodes row r into the reused sparse buffers and returns
-// the shared softmax scratch.
+// the shared softmax scratch. Asked again for the row it last scored, it
+// returns the held scores.
 func (lg *Logistic) predictScores(ds *Dataset, r int) []float64 {
+	if lg.scored.holds(ds, r) {
+		return lg.scoreBuf
+	}
 	idx, val := lg.encodeSparse(ds, r)
-	return lg.softmax(idx, val)
+	p := lg.softmax(idx, val)
+	lg.scored.set(ds, r)
+	return p
 }
